@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import check_partition, height
+from .partitions import check_partition, height, parse_partition
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class AbacusDisplay:
 
     def runner_rows(self, j: int) -> tuple:
         """Sorted rows of the beads sitting on runner j."""
-        return tuple(sorted(q // self.p for q in self.occupied if q % self.p == j))
+        return tuple(bead_rows(self.occupied, self.p)[j])
 
     def to_json(self) -> dict:
         return {"p": self.p, "beads": self.beads, "occupied": sorted(self.occupied)}
@@ -55,6 +55,14 @@ class RunnerStats:
     @property
     def weight(self) -> int:
         return sum(self.weights)
+
+
+def bead_rows(positions, p: int) -> list:
+    """Sorted bead rows of each of the p runners, in one pass."""
+    rows = [[] for _ in range(p)]
+    for q in sorted(positions):
+        rows[q % p].append(q // p)
+    return rows
 
 
 def beta_set(la, beads: int) -> frozenset:
@@ -107,8 +115,7 @@ def component_from_rows(rows) -> tuple:
 def quotient(gamma: AbacusDisplay) -> RunnerStats:
     """Per-runner statistics with the display's own runner indexing."""
     counts, comps, weights = [], [], []
-    for j in range(gamma.p):
-        rows = gamma.runner_rows(j)
+    for rows in bead_rows(gamma.occupied, gamma.p):
         comp = component_from_rows(rows)
         counts.append(len(rows))
         comps.append(comp)
@@ -123,8 +130,7 @@ def core_and_weight(la, p: int) -> tuple:
     gamma = display(la, p)
     moves = 0
     occ = set()
-    for j in range(p):
-        rows = gamma.runner_rows(j)
+    for j, rows in enumerate(bead_rows(gamma.occupied, p)):
         moves += sum(row - t for t, row in enumerate(rows))
         occ.update(j + p * t for t in range(len(rows)))
     core = decode(AbacusDisplay(p, gamma.beads, frozenset(occ)))
@@ -160,8 +166,6 @@ def parse_config(text: str, p: int | None = None):
     A trailing '^k' after an entry repeats it k times; components use the
     partition text format.  Returns a list of (component, offset) pairs.
     """
-    from .partitions import parse_partition
-
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"config must be parenthesized: {text!r}")

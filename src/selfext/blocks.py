@@ -5,8 +5,8 @@ import itertools
 from dataclasses import dataclass
 
 from .partitions import check_partition, height, is_p_regular, partitions_of
-from .abacus import (AbacusDisplay, beta_set, component_from_rows,
-                     core_and_weight, decode, display, rows_for_component)
+from .abacus import (AbacusDisplay, bead_rows, beta_set, core_and_weight,
+                     decode, display, rows_for_component)
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def enumerate_block(b: BlockId, regular_only: bool = False) -> list:
     p, d = b.p, b.weight
     base = display(b.core, p)
     beads = base.beads + p * (d + 1)  # extra full rows keep position 0 occupied
-    counts = [len(rows) + d + 1 for rows in
-              (base.runner_rows(j) for j in range(p))]
+    counts = [len(rows) + d + 1 for rows in bead_rows(base.occupied, p)]
     out = []
     for multi in _multipartitions(d, p):
         occ = set()
@@ -76,8 +75,7 @@ def is_rouquier(rho, p: int, d: int) -> bool:
         raise ValueError(f"{rho} is not a {p}-core")
     h = height(rho)
     for beads in range(max(h, 1), h + p * (d + 1) + 1):
-        beta = beta_set(rho, beads)
-        counts = [sum(1 for q in beta if q % p == j) for j in range(p)]
+        counts = [len(rows) for rows in bead_rows(beta_set(rho, beads), p)]
         if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
             return True
     return False

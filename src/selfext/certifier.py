@@ -4,8 +4,9 @@ A certificate is a chain of reduction steps, each an Ext embedding or
 isomorphism between simple-module labels, ending at a partition where a
 trusted terminal criterion applies.  Terminal tags name the criterion
 (semisimple degree, small block weight, small height, RoCK block,
-irreducible-Specht restriction); reduction tags name the move.  validate
-re-derives every precondition and action from scratch.
+irreducible-Specht restriction); reduction tags name the move.  Both kinds
+live once, in the REDUCTIONS and TERMINALS tables; validate re-derives every
+step and the terminal from scratch through the same tables.
 """
 from __future__ import annotations
 
@@ -20,11 +21,6 @@ from .signatures import (e_tilde, f_tilde, fixed_top_shape, is_difficult,
 from .bijections import mullineux, regularize
 from .blocks import is_rock_block
 from .specht import specht_irreducible, theorem_b_applicable
-
-TERMINAL_TAGS = ("T-SMALL", "T-WEIGHT", "T-HEIGHT", "T-ROCK", "T-SPECHT")
-REDUCTION_TAGS = ("R-REFLECT", "R-TRICK1", "R-SOCLE", "R-FIXEDTOP",
-                  "R-TRICK2", "R-MULLINEUX")
-ALL_RULES = frozenset(TERMINAL_TAGS + REDUCTION_TAGS)
 
 WEIGHT_BOUND = 7    # terminal T-WEIGHT: block weight at most 7
 HEIGHT_MARGIN = 2   # terminal T-HEIGHT: height at most p + 2
@@ -187,45 +183,53 @@ def _socle_edges(la, p: int, i: int) -> list:
     return out
 
 
-def _terminal_rule(la, p: int, rules: frozenset) -> Rule | None:
-    """Cheapest enabled terminal criterion holding for la, or None."""
-    if "T-SMALL" in rules and size(la) < p:
-        return Rule("T-SMALL")
-    if "T-WEIGHT" in rules and core_and_weight(la, p)[1] <= WEIGHT_BOUND:
-        return Rule("T-WEIGHT")
-    if "T-HEIGHT" in rules and height(la) <= p + HEIGHT_MARGIN:
-        return Rule("T-HEIGHT")
-    if "T-ROCK" in rules and is_rock_block(la, p):
-        return Rule("T-ROCK")
-    if "T-SPECHT" in rules:
-        hit = theorem_b_applicable(la, p)
-        if hit is not None:
-            i, nu = hit
-            return Rule("T-SPECHT", {"residue": i, "witness": nu})
-    return None
+def _fixed_top_edges(la, p: int) -> list:
+    i = fixed_top_shape(la, p)
+    if i is None:
+        return []
+    return [({"residue": i}, remove_node(la, signature(la, p, i).good))]
 
 
-def _edges(la, p: int, rules: frozenset):
-    """Enabled reduction edges from la as (Rule, target), deterministic order."""
-    if "R-REFLECT" in rules:
-        for i, mu in reflections(la, p):
-            yield Rule("R-REFLECT", {"residue": i}), mu
-    if "R-TRICK1" in rules:
-        for i, mu in trick1_targets(la, p):
-            yield Rule("R-TRICK1", {"residue": i}), mu
-    if "R-SOCLE" in rules:
-        for i in range(p):
-            for direction, mu in _socle_edges(la, p, i):
-                yield Rule("R-SOCLE", {"residue": i,
-                                       "direction": direction}), mu
-    if "R-FIXEDTOP" in rules:
-        i = fixed_top_shape(la, p)
-        if i is not None:
-            yield (Rule("R-FIXEDTOP", {"residue": i}),
-                   remove_node(la, signature(la, p, i).good))
-    if "R-TRICK2" in rules:
-        for path, mu in trick2_targets(la, p, p):
-            yield Rule("R-TRICK2", {"residues": path}), mu
+def _specht_terminal(la, p: int):
+    hit = theorem_b_applicable(la, p)
+    return None if hit is None else {"residue": hit[0], "witness": hit[1]}
+
+
+# Each rule is defined once, here; certify walks the tables in order and
+# validate replays against them.  Entries call through the module globals
+# (never store e.g. is_rock_block itself) so that wrappers installed on this
+# module after import, such as a call tracer, see every call.
+#
+# Reductions in search order: edges(la, p) -> [(params, target)].
+REDUCTIONS = {
+    "R-REFLECT": lambda la, p: [({"residue": i}, mu)
+                                for i, mu in reflections(la, p)],
+    "R-TRICK1": lambda la, p: [({"residue": i}, mu)
+                               for i, mu in trick1_targets(la, p)],
+    "R-SOCLE": lambda la, p: [({"residue": i, "direction": d}, mu)
+                              for i in range(p)
+                              for d, mu in _socle_edges(la, p, i)],
+    "R-FIXEDTOP": _fixed_top_edges,
+    "R-TRICK2": lambda la, p: [({"residues": path}, mu)
+                               for path, mu in trick2_targets(la, p, p)],
+    # The search does not expand along this edge: a twin joins its source's
+    # breadth-first level through _variants.
+    "R-MULLINEUX": lambda la, p: [({}, mullineux(la, p))],
+}
+
+# Terminal criteria in cost order: find(la, p) -> params, or None.
+TERMINALS = {
+    "T-SMALL": lambda la, p: {} if size(la) < p else None,
+    "T-WEIGHT": lambda la, p:
+        {} if core_and_weight(la, p)[1] <= WEIGHT_BOUND else None,
+    "T-HEIGHT": lambda la, p: {} if height(la) <= p + HEIGHT_MARGIN else None,
+    "T-ROCK": lambda la, p: {} if is_rock_block(la, p) else None,
+    "T-SPECHT": _specht_terminal,
+}
+
+TERMINAL_TAGS = tuple(TERMINALS)
+REDUCTION_TAGS = tuple(REDUCTIONS)
+ALL_RULES = frozenset(TERMINAL_TAGS + REDUCTION_TAGS)
 
 
 def _variants(la, p: int, rules: frozenset) -> list:
@@ -261,115 +265,75 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     rules = _normalize_rules(enabled_rules)
+    terminals = [(tag, find) for tag, find in TERMINALS.items()
+                 if tag in rules]
+    reductions = [(tag, edges) for tag, edges in REDUCTIONS.items()
+                  if tag in rules and tag != "R-MULLINEUX"]
     queue = deque([(la, ())])
     visited = {_canon(la, p, rules)}
     while queue:
         node, path = queue.popleft()
-        for prefix, cur in _variants(node, p, rules):
-            vpath = path + prefix
+        variants = [(path + prefix, cur)
+                    for prefix, cur in _variants(node, p, rules)]
+        for vpath, cur in variants:
             if len(vpath) > max_steps:
                 continue
-            terminal = _terminal_rule(cur, p, rules)
-            if terminal is not None:
-                return Certificate(p, la, vpath, terminal, "CERTIFIED")
-        for prefix, cur in _variants(node, p, rules):
-            vpath = path + prefix
+            for tag, find in terminals:
+                params = find(cur, p)
+                if params is not None:
+                    return Certificate(p, la, vpath, Rule(tag, params),
+                                       "CERTIFIED")
+        for vpath, cur in variants:
             if len(vpath) >= max_steps:
                 continue
-            for rule, target in _edges(cur, p, rules):
-                key = _canon(target, p, rules)
-                if key in visited:
-                    continue
-                visited.add(key)
-                queue.append((target, vpath + (Step(rule, cur, target),)))
+            for tag, edges in reductions:
+                for params, target in edges(cur, p):
+                    key = _canon(target, p, rules)
+                    if key in visited:
+                        continue
+                    visited.add(key)
+                    step = Step(Rule(tag, params), cur, target)
+                    queue.append((target, vpath + (step,)))
     return Certificate(p, la, (), None, "UNKNOWN")
 
 
-def _check_step(step: Step, p: int) -> bool:
-    """Re-derive one reduction step's precondition and action from scratch."""
-    la, target, params = step.source, step.target, step.rule.params
-    tag = step.rule.tag
-    if tag == "R-MULLINEUX":
-        return target == mullineux(la, p)
-    if tag == "R-REFLECT":
-        i = params["residue"]
-        sig = signature(la, p, i)
-        if sig.epsilon == 0 and sig.phi > 0:
-            return target == f_tilde(la, p, i, sig.phi)
-        if sig.phi == 0 and sig.epsilon > 0:
-            return target == e_tilde(la, p, i, sig.epsilon)
+def _specht_witness_holds(params: dict, la, p: int) -> bool:
+    """T-SPECHT replay by its witness alone: regularize(nu) is the residue's
+    e~^eps image of la and S^nu is irreducible.  Re-running the search's
+    theorem_b_applicable would repeat its block scans."""
+    if set(params) != {"residue", "witness"}:
         return False
-    if tag == "R-TRICK1":
-        i = params["residue"]
-        eps = signature(la, p, i).epsilon
-        return (eps > 0 and not is_difficult(la, p, i)
-                and target == e_tilde(la, p, i, eps))
-    if tag == "R-SOCLE":
-        return (params["direction"], target) in _socle_edges(
-            la, p, params["residue"])
-    if tag == "R-FIXEDTOP":
-        i = fixed_top_shape(la, p)
-        return (i == params["residue"]
-                and target == remove_node(la, signature(la, p, i).good))
-    if tag == "R-TRICK2":
-        path = tuple(params["residues"])
-        if len(path) < 2 or any((b - a) % p != 1
-                                for a, b in zip(path, path[1:])):
-            return False
-        mu = la
-        for j in path[:-1]:
-            sig = signature(mu, p, j)
-            if sig.epsilon != 0:
-                return False
-            mu = f_tilde(mu, p, j, sig.phi)
-        jf = path[-1]
-        sig = signature(mu, p, jf)
-        return (sig.epsilon > 0 and sig.phi > 0
-                and not is_difficult(mu, p, jf)
-                and target == e_tilde(mu, p, jf, sig.epsilon))
-    return False
-
-
-def _check_terminal(terminal: Rule, la, p: int) -> bool:
-    """Re-derive the terminal criterion for la from scratch."""
-    tag, params = terminal.tag, terminal.params
-    if tag == "T-SMALL":
-        return size(la) < p
-    if tag == "T-WEIGHT":
-        return core_and_weight(la, p)[1] <= WEIGHT_BOUND
-    if tag == "T-HEIGHT":
-        return height(la) <= p + HEIGHT_MARGIN
-    if tag == "T-ROCK":
-        return is_rock_block(la, p)
-    if tag == "T-SPECHT":
-        i, nu = params["residue"], tuple(params["witness"])
-        mu = e_tilde(la, p, i, signature(la, p, i).epsilon)
-        return (regularize(nu, p) == mu
-                and bool(specht_irreducible(nu, p)))
-    return False
+    i, nu = params["residue"], tuple(params["witness"])
+    if i not in range(p):
+        return False
+    mu = e_tilde(la, p, i, signature(la, p, i).epsilon)
+    return regularize(nu, p) == mu and bool(specht_irreducible(nu, p))
 
 
 def validate(cert: Certificate) -> bool:
     """True iff cert is a complete proof: CERTIFIED status, every step
-    linked, re-derivable, and acyclic, and the terminal criterion holding
-    for the final partition."""
+    linked, acyclic and among the edges its rule generates from its source
+    (with exactly those params), and the terminal criterion holding for the
+    final partition with exactly the params the search would record."""
     try:
         p = cert.p
         if p <= 2 or cert.status != "CERTIFIED" or cert.terminal is None:
             return False
         chain = [check_partition(cert.start)]
         for step in cert.steps:
-            if check_partition(step.source) != chain[-1]:
+            la = chain[-1]
+            if check_partition(step.source) != la or not is_p_regular(la, p):
                 return False
-            if not is_p_regular(step.source, p):
-                return False
-            if not _check_step(step, p):
+            edges = REDUCTIONS[step.rule.tag](la, p)
+            if (step.rule.params, step.target) not in edges:
                 return False
             chain.append(check_partition(step.target))
-        if len(set(chain)) != len(chain):
+        la = chain[-1]
+        if len(set(chain)) != len(chain) or not is_p_regular(la, p):
             return False
-        if not is_p_regular(chain[-1], p):
-            return False
-        return _check_terminal(cert.terminal, chain[-1], p)
+        tag, params = cert.terminal.tag, cert.terminal.params
+        if tag == "T-SPECHT":
+            return _specht_witness_holds(params, la, p)
+        return TERMINALS[tag](la, p) == params
     except (ValueError, KeyError, IndexError, TypeError):
         return False

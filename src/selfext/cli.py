@@ -34,7 +34,8 @@ def _check_prime(p: int) -> int:
 
 
 def _workers() -> int:
-    return max(1, int(os.environ.get("SELFEXT_WORKERS", "1")))
+    requested = int(os.environ.get("SELFEXT_WORKERS", "1"))
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _emit(payload: dict, text: str, as_json: bool) -> None:
@@ -343,6 +344,10 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # A broken internal invariant must not pass for UNKNOWN (exit 1).
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -43,6 +43,22 @@ class SignatureReport:
         return self.conormals[0] if self.conormals else None
 
 
+def cancel_word(entries):
+    """Erase adjacent "-+" pairs from a signed word given as (sign, label)
+    entries in reading order; return the labels of the surviving "+" and
+    of the surviving "-" entries, each in reading order."""
+    pending = []
+    plus = []
+    for sign, label in entries:
+        if sign == "-":
+            pending.append(label)
+        elif pending:
+            pending.pop()
+        else:
+            plus.append(label)
+    return plus, pending
+
+
 def signature(la, p: int, i: int) -> SignatureReport:
     """Residue-i signature report of la."""
     la = check_partition(la)
@@ -58,15 +74,8 @@ def signature(la, p: int, i: int) -> SignatureReport:
             entries.append((col - row, node, "+"))
     entries.sort()  # increasing beta-position = bottom-left to top-right
     word = tuple((node, sign) for _, node, sign in entries)
-    pending = []   # indices of unmatched '-'
-    plus = []      # indices of surviving '+'
-    for idx, (_, sign) in enumerate(word):
-        if sign == "-":
-            pending.append(idx)
-        elif pending:
-            pending.pop()
-        else:
-            plus.append(idx)
+    plus, pending = cancel_word(
+        [(sign, idx) for idx, (_, sign) in enumerate(word)])
     surviving = sorted(plus + pending)
     reduced = tuple(word[idx] for idx in surviving)
     normals = tuple(word[idx][0] for idx in pending)

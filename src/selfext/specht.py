@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import check_partition, height, is_p_regular, is_p_restricted
-from .abacus import beta_set, component_from_rows, core_and_weight
+from .abacus import bead_rows, beta_set, component_from_rows, core_and_weight
 from .bijections import regularize
 from .signatures import e_tilde, signature
 from .blocks import block_of, enumerate_block
@@ -32,7 +32,7 @@ class SpechtResult:
 
 def _runner_data(la, beads, p):
     beta = beta_set(la, beads)
-    rows = [tuple(sorted(q // p for q in beta if q % p == j)) for j in range(p)]
+    rows = bead_rows(beta, p)
     comps = [component_from_rows(r) for r in rows]
     return beta, rows, comps
 

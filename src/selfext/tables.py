@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .partitions import check_partition, height, partitions_of, size
-from .abacus import rows_for_component
+from .partitions import (check_partition, height, is_p_regular,
+                         partitions_of, size)
+from .abacus import AbacusDisplay, decode, rows_for_component
+from .signatures import cancel_word, is_difficult
 
 
 @dataclass(frozen=True)
@@ -98,27 +100,13 @@ def _scan_rows(left_rows, right_rows):
     return "".join(word), tuple(rows)
 
 
-def _reduce(word, rows):
-    """Erase adjacent "-+" pairs; return surviving (sym, row) lists."""
-    pending = []
-    plus = []
-    for sym, row in zip(word, rows):
-        if sym == "-":
-            pending.append(row)
-        elif pending:
-            pending.pop()
-        else:
-            plus.append(row)
-    return plus, pending
-
-
 def local_signature(pair: RunnerPairConfig) -> LocalSignature:
     """Signature of the pair's residue, computed from the two runners alone."""
     base = pair.weight + pair.gap + 2
     left_rows = rows_for_component(pair.left, base)
     right_rows = rows_for_component(pair.right, base + pair.gap)
     word, rows = _scan_rows(left_rows, right_rows)
-    plus, minus = _reduce(word, rows)
+    plus, minus = cancel_word(zip(word, rows))
     return LocalSignature(
         word=word,
         rows=rows,
@@ -166,7 +154,7 @@ def derive_table1(max_weight: int) -> list:
 
 def _difficulty_rows(left_rows, right_rows):
     """(good row, cogood row) of a difficult pair given as bead-row sets."""
-    plus, minus = _reduce(*_scan_rows(left_rows, right_rows))
+    plus, minus = cancel_word(zip(*_scan_rows(left_rows, right_rows)))
     if not (minus and plus and minus[0] == plus[-1] + 1):
         return None
     return minus[0], plus[-1]
@@ -242,10 +230,6 @@ def realize_config(config, p: int):
     runners' own bead rows.  Returns a p-regular partition difficult at the
     configured residue(s); raises if no placement at this p works.
     """
-    from .abacus import decode, AbacusDisplay
-    from .partitions import is_p_regular
-    from .signatures import is_difficult
-
     if p < 3:
         raise ValueError("need p >= 3 to host a runner configuration")
     if isinstance(config, RunnerPairConfig):

@@ -226,3 +226,29 @@ def test_certificate_json_round_trip():
     again = certificate_from_dict(json.loads(json.dumps(multi.to_dict())))
     assert again == multi
     assert validate(again)
+
+
+def test_validate_requires_exact_params():
+    c = certify((4, 1), 3, enabled_rules={"T-SMALL", "R-TRICK1", "R-REFLECT"})
+    assert [s.rule.tag for s in c.steps] == ["R-TRICK1", "R-REFLECT"]
+    assert validate(c)
+
+    def edited(k, params):
+        steps = list(c.steps)
+        s = steps[k]
+        steps[k] = Step(Rule(s.rule.tag, params), s.source, s.target)
+        return Certificate(c.p, c.start, tuple(steps), c.terminal, c.status)
+
+    for k, s in enumerate(c.steps):
+        r = s.rule.params["residue"]
+        assert not validate(edited(k, {"residue": r + 3}))
+        assert not validate(edited(k, {"residue": r, "extra": 0}))
+    assert not validate(Certificate(3, (2, 1), (), Rule("T-WEIGHT", {"x": 1}),
+                                    "CERTIFIED"))
+
+    c = certify((10, 5, 4, 3, 1, 1), 3, enabled_rules={"T-SPECHT"})
+    params = c.terminal.params
+    for bad in ({**params, "residue": params["residue"] + 3},
+                {**params, "extra": 0}):
+        assert not validate(Certificate(c.p, c.start, c.steps,
+                                        Rule("T-SPECHT", bad), c.status))

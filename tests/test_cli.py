@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from selfext import cli
 from selfext.certifier import certificate_from_dict, validate
 from selfext.cli import run
 
@@ -87,6 +88,28 @@ def test_certify_usage_errors(capsys):
         code, _, err = capture(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(la, p):
+        raise RuntimeError("ladder filling not left-justified")
+    monkeypatch.setattr(cli, "regularize", broken)
+    code, out, err = capture(capsys, ["regularize", "1^3", "--p", "3"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ladder filling not left-justified\n"
+
+
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for value, expected in (("64", 2), ("2", 2), ("1", 1), ("0", 1)):
+        monkeypatch.setenv("SELFEXT_WORKERS", value)
+        assert cli._workers() == expected
+    monkeypatch.delenv("SELFEXT_WORKERS")
+    assert cli._workers() == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("SELFEXT_WORKERS", "8")
+    assert cli._workers() == 1
 
 
 def test_missing_subcommand_exits_2(capsys):
