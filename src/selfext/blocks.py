@@ -1,7 +1,6 @@
 """Block identity, block enumeration, Rouquier cores, RoCK membership."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .partitions import check_partition, height, is_p_regular, partitions_of

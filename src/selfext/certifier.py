@@ -213,7 +213,7 @@ REDUCTIONS = {
     "R-TRICK2": lambda la, p: [({"residues": path}, mu)
                                for path, mu in trick2_targets(la, p, p)],
     # The search does not expand along this edge: a twin joins its source's
-    # breadth-first level through _variants.
+    # breadth-first level, and the visited map pairs it with its source.
     "R-MULLINEUX": lambda la, p: [({}, mullineux(la, p))],
 }
 
@@ -232,30 +232,14 @@ REDUCTION_TAGS = tuple(REDUCTIONS)
 ALL_RULES = frozenset(TERMINAL_TAGS + REDUCTION_TAGS)
 
 
-def _variants(la, p: int, rules: frozenset) -> list:
-    """la itself, plus its Mullineux twin behind an explicit step if distinct."""
-    out = [((), la)]
-    if "R-MULLINEUX" in rules:
-        twin = mullineux(la, p)
-        if twin != la:
-            out.append(((Step(Rule("R-MULLINEUX"), la, twin),), twin))
-    return out
-
-
-def _canon(la, p: int, rules: frozenset) -> tuple:
-    """Visited-set key: lexicographic min of the Mullineux pair."""
-    if "R-MULLINEUX" in rules:
-        return min(la, mullineux(la, p))
-    return la
-
-
 def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     """Search breadth-first for a certificate that Ext^1(D^la, D^la) = 0.
 
-    Terminal criteria are checked on each popped node (and its Mullineux
-    twin) before any expansion; the visited set identifies a partition with
-    its twin, and certificates never exceed max_steps steps.  Returns an
-    UNKNOWN certificate with no steps when the search space is exhausted.
+    Terminal criteria are checked on each popped node, then on its Mullineux
+    twin, before any expansion; the visited set holds both members of every
+    discovered pair, so each twin is computed once, and certificates never
+    exceed max_steps steps.  Returns an UNKNOWN certificate with no steps
+    when the search space is exhausted.
     """
     la = check_partition(la)
     if p <= 2:
@@ -269,29 +253,43 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
                  if tag in rules]
     reductions = [(tag, edges) for tag, edges in REDUCTIONS.items()
                   if tag in rules and tag != "R-MULLINEUX"]
+    twins = {}  # every discovered partition -> its Mullineux twin, or itself
+
+    def discover(node):
+        twin = mullineux(node, p) if "R-MULLINEUX" in rules else node
+        twins[node], twins[twin] = twin, node
+
+    def terminal(node):
+        for tag, find in terminals:
+            params = find(node, p)
+            if params is not None:
+                return Rule(tag, params)
+        return None
+
     queue = deque([(la, ())])
-    visited = {_canon(la, p, rules)}
     while queue:
         node, path = queue.popleft()
-        variants = [(path + prefix, cur)
-                    for prefix, cur in _variants(node, p, rules)]
-        for vpath, cur in variants:
-            if len(vpath) > max_steps:
-                continue
-            for tag, find in terminals:
-                params = find(cur, p)
-                if params is not None:
-                    return Certificate(p, la, vpath, Rule(tag, params),
-                                       "CERTIFIED")
+        found = terminal(node)
+        if found:
+            return Certificate(p, la, path, found, "CERTIFIED")
+        if node not in twins:  # only the root is popped undiscovered
+            discover(node)
+        variants = [(path, node)]
+        twin = twins[node]
+        if twin != node:
+            twin_path = path + (Step(Rule("R-MULLINEUX"), node, twin),)
+            found = len(twin_path) <= max_steps and terminal(twin)
+            if found:
+                return Certificate(p, la, twin_path, found, "CERTIFIED")
+            variants.append((twin_path, twin))
         for vpath, cur in variants:
             if len(vpath) >= max_steps:
                 continue
             for tag, edges in reductions:
                 for params, target in edges(cur, p):
-                    key = _canon(target, p, rules)
-                    if key in visited:
+                    if target in twins:
                         continue
-                    visited.add(key)
+                    discover(target)
                     step = Step(Rule(tag, params), cur, target)
                     queue.append((target, vpath + (step,)))
     return Certificate(p, la, (), None, "UNKNOWN")

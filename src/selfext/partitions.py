@@ -10,6 +10,8 @@ import itertools
 Partition = tuple
 Node = tuple
 
+MAX_SIZE = 100_000  # parse_partition refuses text that expands past this
+
 
 def check_partition(la) -> tuple:
     """Normalize to a tuple, dropping trailing zeros; raise on bad input."""
@@ -34,11 +36,16 @@ def height(la) -> int:
 
 
 def parse_partition(text: str) -> tuple:
-    """Parse '4,2^3,1' into (4,2,2,2,1); '-' (or '') is the empty partition."""
+    """Parse '4,2^3,1' into (4,2,2,2,1); '-' (or '') is the empty partition.
+
+    Raises ValueError before expanding text whose parts would total more than
+    MAX_SIZE boxes (a zero or negative part counts as one).
+    """
     text = text.strip()
     if text in ("-", ""):
         return ()
     parts = []
+    total = 0
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -50,6 +57,10 @@ def parse_partition(text: str) -> tuple:
             value, mult = int(chunk), 1
         if mult <= 0:
             raise ValueError(f"bad multiplicity in {chunk!r}")
+        total += max(abs(value), 1) * mult
+        if total > MAX_SIZE:
+            raise ValueError(f"partition text exceeds {MAX_SIZE} boxes "
+                             f"at {chunk!r}")
         parts.extend([value] * mult)
     return check_partition(parts)
 

@@ -8,12 +8,12 @@ B_1..B_phi labeled top to bottom (cogood node = B_1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .partitions import (add_node, addable_nodes, check_partition, height,
+from .partitions import (add_node, addable_nodes, check_partition,
                          is_p_regular, node_residue, remove_node,
                          removable_nodes)
-from .abacus import core_and_weight, display
+from .abacus import display
 
 
 @dataclass(frozen=True)

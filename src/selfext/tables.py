@@ -168,19 +168,7 @@ def derive_table2() -> list:
     pair's difficulty window finds the third runner occupied where the full
     criterion needs it (outer runner at the other pair's good/cogood rows).
     """
-    pairs = derive_table1(7)
-    by_left = {}
-    for c in pairs:
-        by_left.setdefault(c.left, []).append(c)
-    out = []
-    for first in pairs:
-        for second in by_left.get(first.right, []):
-            triple = RunnerTripleConfig(first.left, first.right, second.right,
-                                        first.gap, second.gap)
-            if triple.weight <= 7 and _joint_difficult(triple):
-                out.append(triple)
-    out.sort(key=lambda t: (t.weight, t.gaps, t.right, t.middle, t.left))
-    return out
+    return [t for t in table2_candidates() if _joint_difficult(t)]
 
 
 def table2_candidates() -> list:

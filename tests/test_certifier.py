@@ -1,10 +1,13 @@
 """Tests for the self-extension certifier: rules, searches, certificates."""
 
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from selfext import certifier
 from selfext.abacus import core_and_weight, decode_config
 from selfext.certifier import (
     ALL_RULES,
@@ -20,6 +23,11 @@ from selfext.certifier import (
 )
 from selfext.partitions import is_p_regular, partitions_of, size
 from selfext.signatures import e_tilde, f_tilde, is_difficult, signature
+
+# SHA-256 of the JSON list of every certificate test_rule_subset_searches
+# builds; a change to any search result under any rule subset moves it.
+RULE_SUBSET_DIGEST = (
+    "77145a87c1f77107944056c699cdd071339844290f8a6993b05f66f5d376efcc")
 
 
 def sample_pool(seed=7, count=60):
@@ -176,10 +184,12 @@ def test_rule_subset_searches():
         frozenset({"T-SMALL", "T-HEIGHT", "R-TRICK1", "R-TRICK2", "R-FIXEDTOP"}),
     ]
     deepest = 0
+    certs = []
     for la in sample:
         outcomes = {}
         for rules in subsets:
             c = certify(la, 3, enabled_rules=rules, max_steps=8)
+            certs.append(c.to_dict())
             outcomes[rules] = c.status
             if c.status == "CERTIFIED":
                 assert validate(c), (la, sorted(rules))
@@ -188,6 +198,29 @@ def test_rule_subset_searches():
             if outcomes[rules] == "CERTIFIED":
                 assert outcomes[ALL_RULES] == "CERTIFIED"
     assert deepest >= 1
+    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+    assert digest == RULE_SUBSET_DIGEST
+
+
+def test_certify_computes_each_twin_once(monkeypatch):
+    real = certifier.mullineux
+    calls = Counter()
+
+    def counting(la, p):
+        calls[la] += 1
+        return real(la, p)
+
+    monkeypatch.setattr(certifier, "mullineux", counting)
+    c = certify((2, 1), 3)
+    assert c.terminal.tag == "T-WEIGHT" and not calls
+    rules = {"T-SMALL", "R-REFLECT", "R-TRICK1", "R-TRICK2", "R-SOCLE",
+             "R-FIXEDTOP", "R-MULLINEUX"}
+    c = certify((5, 3, 2, 2, 1), 3, enabled_rules=rules, max_steps=8)
+    # No partition is passed twice, nor alongside its own distinct twin.
+    assert len(calls) > 50 and max(calls.values()) == 1
+    assert not [la for la in calls if real(la, 3) != la and real(la, 3) in calls]
+    assert "R-MULLINEUX" in [s.rule.tag for s in c.steps]
+    assert validate(c)
 
 
 def test_tampered_certificates_rejected():

@@ -84,7 +84,8 @@ def test_certify_usage_errors(capsys):
     for argv in (["certify", "4,x", "--p", "3"],
                  ["certify", "2,1", "--p", "4"],
                  ["certify", "2,1", "--p", "2"],
-                 ["analyze", "2,3", "--p", "3"]):
+                 ["analyze", "2,3", "--p", "3"],
+                 ["certify", "1^100000000", "--p", "3"]):
         code, _, err = capture(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:")

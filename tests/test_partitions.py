@@ -122,7 +122,8 @@ def test_parse_and_format():
 
 
 def test_parse_rejects_malformed():
-    for text in ("4,x", "2,3", "1^0", "4,,1", "^2"):
+    for text in ("4,x", "2,3", "1^0", "4,,1", "^2", "1^100000000",
+                 "100000000"):
         with pytest.raises(ValueError):
             parse_partition(text)
 
