@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import check_partition, height, is_p_regular, is_p_restricted
-from .abacus import bead_rows, beta_set, component_from_rows, core_and_weight
-from .bijections import regularize
+from .abacus import (bead_rows, beta_set, component_from_rows, core_and_weight,
+                     display)
+from .bijections import ladder_counts
 from .signatures import e_tilde, signature
-from .blocks import block_of, enumerate_block
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _condition_iii(beta, p, k, rows_k):
     return all(q in beta for q in range(last) if q % p != k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _irreducible(la, p):
     la = check_partition(la)
     if core_and_weight(la, p)[1] == 0:
@@ -101,16 +101,75 @@ def special_runners(la, p: int):
     return j, k
 
 
+def _ladder_preimage(mu, p: int) -> list:
+    """Every nu with nu^R = mu, in the order enumerate_block lists mu's block.
+
+    Regularization keeps ladder counts, so these are the partitions with mu's
+    ladder counts.  They are built row by row, and a branch is dropped when
+    a ladder would overflow, when row r leaves ladder r (final from then on)
+    short, or when the farthest ladder still short is out of reach.
+    """
+    counts = ladder_counts(mu, p)
+    top = max(counts, default=0)
+    # need[top + 1] stays 0, which ends the scan for `last` in reachable
+    need = [counts.get(ell, 0) for ell in range(top + 2)]
+    parts, found = [], []
+
+    def reachable(r, longest):
+        # a later row r' exists only while ladder r' still needs its first
+        # node, and the farthest ladder still short needs a node in one of
+        # those rows at a column <= longest
+        last = r
+        while need[last + 1]:
+            last += 1
+        far = top
+        while far > r and not need[far]:
+            far -= 1
+        return far - (p - 1) * (longest - 1) <= last
+
+    def place(r, longest, left):
+        if left == 0:
+            found.append(tuple(parts))
+            return
+        if need[r] != 1:
+            return
+        placed = []
+        for c in range(1, longest + 1):
+            ell = r + (p - 1) * (c - 1)
+            if ell > top or need[ell] == 0:
+                break
+            need[ell] -= 1
+            placed.append(ell)
+            parts.append(c)
+            if reachable(r, c):
+                place(r + 1, c, left - c)
+            parts.pop()
+        for ell in placed:
+            need[ell] += 1
+
+    place(1, top, sum(mu))
+    # enumerate_block's display: the core's, plus p*(d+1) beads
+    core, d = core_and_weight(mu, p)
+    beads = display(core, p).beads + p * (d + 1)
+
+    def quotient_key(nu):
+        comps = map(component_from_rows, bead_rows(beta_set(nu, beads), p))
+        return tuple((sum(c), c) for c in comps)
+
+    return sorted(found, key=quotient_key, reverse=True)
+
+
 def irreducible_specht_preimage(mu, p: int):
-    """A partition nu with nu^R = mu and S^nu irreducible, if the block of mu
-    contains one; None otherwise."""
+    """A partition nu with nu^R = mu (that is, with mu's ladder counts) and
+    S^nu irreducible; None if there is none.  mu itself is tried first, then
+    the others in block-enumeration order."""
     mu = check_partition(mu)
     if not is_p_regular(mu, p):
         raise ValueError(f"{mu} is not {p}-regular")
     if specht_irreducible(mu, p):
         return mu
-    for nu in enumerate_block(block_of(mu, p)):
-        if nu != mu and regularize(nu, p) == mu and specht_irreducible(nu, p):
+    for nu in _ladder_preimage(mu, p):
+        if nu != mu and specht_irreducible(nu, p):
             return nu
     return None
 

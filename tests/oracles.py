@@ -2,10 +2,16 @@
 
 Everything here is computed straight from Young-diagram definitions (hook
 lengths, rim hooks, tabloids, explicit orbit enumeration) and deliberately
-avoids the abacus/signature machinery under test.  No imports from selfext.
+avoids the abacus/signature machinery under test.  The one exception is
+block_scan_preimage: the block scan that the library's ladder preimage
+replaced, kept to cross-check it (its enumerate_block and regularize are
+themselves checked against the oracles here).
 """
 
 import itertools
+
+from selfext.bijections import regularize
+from selfext.blocks import block_of, enumerate_block
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +247,13 @@ def brute_degree_zero(p, m, d):
     letters = (p - 1) * m * m
     return sum(1 for _ in itertools.combinations_with_replacement(
         range(letters), d))
+
+
+# ---------------------------------------------------------------------------
+# regularization preimages
+
+
+def block_scan_preimage(mu, p):
+    """Every nu with nu^R = mu, found by regularizing each member of mu's
+    block, in block-enumeration order."""
+    return [nu for nu in enumerate_block(block_of(mu, p)) if regularize(nu, p) == mu]

@@ -69,6 +69,21 @@ def test_every_small_partition_is_certified():
                 assert validate(cert), (p, la)
 
 
+def test_every_3_regular_partition_of_24_is_certified_by_search():
+    # n = 24 is the smallest p = 3 size where the search takes steps and
+    # T-HEIGHT and T-SPECHT end certificates
+    usage = Counter()
+    for la in regulars(24, 3):
+        cert = certify(la, 3)
+        assert cert.status == "CERTIFIED", la
+        assert validate(cert), la
+        usage.update(step.rule.tag for step in cert.steps)
+        usage[cert.terminal.tag] += 1
+    # the counts the block-scan preimage gave
+    assert usage == {"R-MULLINEUX": 28, "R-TRICK1": 8, "T-HEIGHT": 167,
+                     "T-SPECHT": 10, "T-WEIGHT": 254}
+
+
 def test_specht_terminal_without_weight_rules():
     rules = ALL_RULES - {"T-WEIGHT", "T-HEIGHT", "T-ROCK"}
     cert = certify((10, 5, 4, 3, 1, 1), 3, enabled_rules=rules)

@@ -4,6 +4,8 @@ import pytest
 
 import oracles
 from selfext.abacus import beta_set, component_from_rows, core_and_weight
+from selfext.bijections import regularize
+from selfext.blocks import BlockId, enumerate_block
 from selfext.partitions import (
     add_node,
     is_p_regular,
@@ -13,6 +15,8 @@ from selfext.partitions import (
 )
 from selfext.signatures import epsilon, f_hat, signature
 from selfext.specht import (
+    _irreducible,
+    _ladder_preimage,
     irreducible_specht_preimage,
     special_runners,
     specht_irreducible,
@@ -118,6 +122,34 @@ def test_preimage_examples():
     assert irreducible_specht_preimage((2, 1), 3) == (1, 1, 1)
     assert irreducible_specht_preimage((3, 3), 3) == (1, 1, 1, 1, 1, 1)
     assert irreducible_specht_preimage((4, 2), 3) == (4, 2)
+
+
+def test_ladder_preimage_matches_block_scan():
+    checked = 0
+    for p, nmax in ((3, 16), (5, 15), (7, 14)):
+        for n in range(nmax + 1):
+            for mu in partitions_of(n):
+                if is_p_regular(mu, p):
+                    checked += 1
+                    assert _ladder_preimage(mu, p) == oracles.block_scan_preimage(mu, p)
+    assert checked == 1393
+
+
+def test_ladder_preimage_on_a_weight_8_block():
+    # one scan of the block serves every 3-regular member at once
+    members = enumerate_block(BlockId((), 8, 3))
+    scan = {}
+    for nu in members:
+        scan.setdefault(regularize(nu, 3), []).append(nu)
+    regular = [mu for mu in members if is_p_regular(mu, 3)]
+    assert len(members) == 810 and sorted(scan) == sorted(regular)
+    for mu in regular:
+        assert _ladder_preimage(mu, 3) == scan[mu], mu
+    assert oracles.block_scan_preimage((10, 5, 4, 3, 1, 1), 3) == scan[(10, 5, 4, 3, 1, 1)]
+
+
+def test_specht_cache_is_bounded():
+    assert _irreducible.cache_info().maxsize == 65536
 
 
 def test_preimage_rejects_singular():
