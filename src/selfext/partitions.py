@@ -6,6 +6,7 @@ tuple is the trivial partition of 0.  Nodes are 1-based (row, col) pairs.
 from __future__ import annotations
 
 import itertools
+import operator
 
 Partition = tuple
 Node = tuple
@@ -15,12 +16,12 @@ MAX_SIZE = 100_000  # parse_partition refuses text that expands past this
 
 def check_partition(la) -> tuple:
     """Normalize to a tuple, dropping trailing zeros; raise on bad input."""
-    parts = tuple(int(x) for x in la)
+    parts = tuple(map(int, la))
     while parts and parts[-1] == 0:
         parts = parts[:-1]
-    if any(x <= 0 for x in parts):
+    if parts and min(parts) <= 0:
         raise ValueError(f"parts must be positive: {la!r}")
-    if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
+    if any(map(operator.lt, parts, parts[1:])):
         raise ValueError(f"parts must be weakly decreasing: {la!r}")
     return parts
 

@@ -105,15 +105,20 @@ def _ladder_preimage(mu, p: int) -> list:
     """Every nu with nu^R = mu, in the order enumerate_block lists mu's block.
 
     Regularization keeps ladder counts, so these are the partitions with mu's
-    ladder counts.  They are built row by row, and a branch is dropped when
-    a ladder would overflow, when row r leaves ladder r (final from then on)
-    short, or when the farthest ladder still short is out of reach.
+    ladder counts.  They are built row by row, depth first on an explicit
+    stack (so a member may have any number of rows), and a branch is dropped
+    when a ladder would overflow, when row r leaves ladder r (final from then
+    on) short, or when the farthest ladder still short is out of reach.
     """
     counts = ladder_counts(mu, p)
     top = max(counts, default=0)
     # need[top + 1] stays 0, which ends the scan for `last` in reachable
     need = [counts.get(ell, 0) for ell in range(top + 2)]
-    parts, found = [], []
+    found = []
+    # one frame [r, longest, left, c] per open row: row r holds c nodes (their
+    # ladders already taken from need), at most longest, with left nodes
+    # still to place from row r on
+    stack = []
 
     def reachable(r, longest):
         # a later row r' exists only while ladder r' still needs its first
@@ -127,27 +132,27 @@ def _ladder_preimage(mu, p: int) -> list:
             far -= 1
         return far - (p - 1) * (longest - 1) <= last
 
-    def place(r, longest, left):
+    def open_row(r, longest, left):
         if left == 0:
-            found.append(tuple(parts))
-            return
-        if need[r] != 1:
-            return
-        placed = []
-        for c in range(1, longest + 1):
-            ell = r + (p - 1) * (c - 1)
-            if ell > top or need[ell] == 0:
-                break
-            need[ell] -= 1
-            placed.append(ell)
-            parts.append(c)
-            if reachable(r, c):
-                place(r + 1, c, left - c)
-            parts.pop()
-        for ell in placed:
-            need[ell] += 1
+            found.append(tuple(frame[3] for frame in stack))
+        elif need[r] == 1:
+            stack.append([r, longest, left, 0])
 
-    place(1, top, sum(mu))
+    open_row(1, top, sum(mu))
+    while stack:
+        frame = stack[-1]
+        r, longest, left, c = frame
+        ell = r + (p - 1) * c    # the ladder of node (r, c + 1)
+        if c < longest and ell <= top and need[ell]:
+            need[ell] -= 1
+            frame[3] = c = c + 1
+            if reachable(r, c):
+                open_row(r + 1, c, left - c)
+        else:
+            for k in range(c):
+                need[r + (p - 1) * k] += 1
+            stack.pop()
+
     # enumerate_block's display: the core's, plus p*(d+1) beads
     core, d = core_and_weight(mu, p)
     beads = display(core, p).beads + p * (d + 1)

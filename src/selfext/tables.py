@@ -82,22 +82,14 @@ class LocalSignature:
 
 
 def _scan_rows(left_rows, right_rows):
-    """Signed word of two runners given as bead-row sets, rows ascending."""
+    """Signed word of two runners given as bead-row sets, rows ascending.
+
+    Only rows with a bead on exactly one runner emit a sign: "+" for the left
+    runner, "-" for the right.
+    """
     left_rows = set(left_rows)
-    right_rows = set(right_rows)
-    top = max(left_rows | right_rows, default=-1)
-    word = []
-    rows = []
-    for t in range(top + 1):
-        on_left = t in left_rows
-        on_right = t in right_rows
-        if on_right and not on_left:
-            word.append("-")
-            rows.append(t)
-        elif on_left and not on_right:
-            word.append("+")
-            rows.append(t)
-    return "".join(word), tuple(rows)
+    rows = tuple(sorted(left_rows.symmetric_difference(right_rows)))
+    return "".join("+" if t in left_rows else "-" for t in rows), rows
 
 
 def local_signature(pair: RunnerPairConfig) -> LocalSignature:
@@ -134,20 +126,36 @@ def locally_difficult(pair: RunnerPairConfig) -> bool:
 def derive_table1(max_weight: int) -> list:
     """All locally difficult runner pairs of combined weight <= max_weight.
 
+    Each candidate (left, right, gap) is decided by _difficulty_rows on the
+    two runners' bead rows: the one pair criterion, which the table-2 filter
+    and realize_config use too (locally_difficult reads the same condition
+    off a full LocalSignature).  Each runner's rows are built once per call,
+    and a RunnerPairConfig only for the rows kept.
+
     Deterministic order: (weight, gap descending, right component, left
     component); max_weight above 7 is outside the verified range and refused.
     """
     if not 0 <= max_weight <= 7:
         raise ValueError(f"max_weight must be in 0..7, got {max_weight}")
+    comps = [tuple(partitions_of(k)) for k in range(max_weight + 1)]
+    runner_rows = {}
+
+    def rows(comp, count):
+        key = (comp, count)
+        if key not in runner_rows:
+            runner_rows[key] = rows_for_component(comp, count)
+        return runner_rows[key]
+
     found = []
     for w in range(2, max_weight + 1):
         for left_size in range(w + 1):
-            for left in partitions_of(left_size):
-                for right in partitions_of(w - left_size):
+            for left in comps[left_size]:
+                for right in comps[w - left_size]:
                     for gap in range(1, w):
-                        pair = RunnerPairConfig(left, right, gap)
-                        if locally_difficult(pair):
-                            found.append(pair)
+                        base = w + gap + 2
+                        if _difficulty_rows(rows(left, base),
+                                            rows(right, base + gap)):
+                            found.append(RunnerPairConfig(left, right, gap))
     found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))
     return found
 

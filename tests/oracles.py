@@ -2,16 +2,19 @@
 
 Everything here is computed straight from Young-diagram definitions (hook
 lengths, rim hooks, tabloids, explicit orbit enumeration) and deliberately
-avoids the abacus/signature machinery under test.  The one exception is
-block_scan_preimage: the block scan that the library's ladder preimage
-replaced, kept to cross-check it (its enumerate_block and regularize are
-themselves checked against the oracles here).
+avoids the abacus/signature machinery under test.  The two exceptions are
+the searches the library replaced, kept to cross-check it:
+block_scan_preimage, the block scan behind the ladder preimage (its
+enumerate_block and regularize are themselves checked against the oracles
+here), and table1_by_local_signature, the Table I loop that judged every
+candidate by its full local signature.
 """
 
 import itertools
 
 from selfext.bijections import regularize
 from selfext.blocks import block_of, enumerate_block
+from selfext.tables import RunnerPairConfig, locally_difficult
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +260,23 @@ def block_scan_preimage(mu, p):
     """Every nu with nu^R = mu, found by regularizing each member of mu's
     block, in block-enumeration order."""
     return [nu for nu in enumerate_block(block_of(mu, p)) if regularize(nu, p) == mu]
+
+
+# ---------------------------------------------------------------------------
+# difficulty tables
+
+
+def table1_by_local_signature(max_weight):
+    """Table I as a validated RunnerPairConfig and a locally_difficult test
+    (a full local signature) per candidate, in derive_table1's order."""
+    found = []
+    for w in range(2, max_weight + 1):
+        for left_size in range(w + 1):
+            for left in partitions_of(left_size):
+                for right in partitions_of(w - left_size):
+                    for gap in range(1, w):
+                        pair = RunnerPairConfig(left, right, gap)
+                        if locally_difficult(pair):
+                            found.append(pair)
+    found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))
+    return found

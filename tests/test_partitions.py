@@ -47,6 +47,29 @@ def test_check_partition_strips_trailing_zeros():
     assert check_partition((0,)) == ()
 
 
+CHECK_PARTITION_PINS = [
+    ((3, 2, 0, 0), (3, 2)),
+    ((), ()),
+    ((0,), ()),
+    ((2, 0, 1), "parts must be positive: (2, 0, 1)"),
+    ((1, -1), "parts must be positive: (1, -1)"),
+    ((-1, 2), "parts must be positive: (-1, 2)"),
+    ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+    ([3.0, 1], (3, 1)),
+    ("321", (3, 2, 1)),
+]
+
+
+def test_check_partition_pins_results_and_messages():
+    for la, want in CHECK_PARTITION_PINS:
+        if isinstance(want, tuple):
+            assert check_partition(la) == want, la
+        else:
+            with pytest.raises(ValueError) as err:
+                check_partition(la)
+            assert str(err.value) == want, la
+
+
 def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         check_partition((2, 3))

@@ -148,6 +148,11 @@ def test_ladder_preimage_on_a_weight_8_block():
     assert oracles.block_scan_preimage((10, 5, 4, 3, 1, 1), 3) == scan[(10, 5, 4, 3, 1, 1)]
 
 
+def test_ladder_preimage_has_no_row_limit():
+    # 1^1000 has more rows than the default recursion limit allows frames
+    assert _ladder_preimage((500, 500), 3) == [(500, 500), (1,) * 1000]
+
+
 def test_specht_cache_is_bounded():
     assert _irreducible.cache_info().maxsize == 65536
 

@@ -6,13 +6,16 @@ from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from selfext.abacus import AbacusDisplay, beta_set, decode, display, quotient, rows_for_component
 from selfext.partitions import is_p_regular, parse_partition, partitions_of
 from selfext.signatures import is_difficult, signature
 from selfext.tables import (
     RunnerPairConfig,
     RunnerTripleConfig,
+    _scan_rows,
     derive_table1,
     derive_table2,
     local_signature,
@@ -58,6 +61,37 @@ def test_table1_prefixes():
     assert derive_table1(0) == []
 
 
+def test_table1_matches_local_signature_oracle():
+    for k in range(8):
+        assert derive_table1(k) == oracles.table1_by_local_signature(k), k
+    rows = derive_table2()
+    assert len(rows) == 4 and table2_rows(rows) == golden_table2_rows()
+
+
+def _scan_rows_by_range(left_rows, right_rows):
+    # the definition _scan_rows replaced: scan every row up to the top bead
+    left_rows, right_rows = set(left_rows), set(right_rows)
+    word, rows = [], []
+    for t in range(max(left_rows | right_rows, default=-1) + 1):
+        if (t in left_rows) != (t in right_rows):
+            word.append("+" if t in left_rows else "-")
+            rows.append(t)
+    return "".join(word), tuple(rows)
+
+
+row_sets = st.frozensets(st.integers(min_value=0, max_value=40), max_size=25)
+
+
+@given(row_sets, row_sets, st.sampled_from(["as drawn", "disjoint", "shared"]))
+def test_scan_rows_matches_range_scan(left, right, overlap):
+    if overlap == "disjoint":
+        right = right - left
+    elif overlap == "shared":
+        right = right | set(sorted(left)[::2])
+    for a, b in ((left, right), (right, left), (left, left), (left, ())):
+        assert _scan_rows(sorted(a), b) == _scan_rows_by_range(a, b)
+
+
 def test_table1_rejects_out_of_range():
     with pytest.raises(ValueError):
         derive_table1(8)
@@ -90,14 +124,20 @@ def test_table2_candidates_are_the_chained_pairs():
     }
 
 
+def table2_rows(triples):
+    return {(t.left, t.middle, t.right) + t.gaps for t in triples}
+
+
+def golden_table2_rows():
+    return {(parse_partition(r["left"]), parse_partition(r["middle"]),
+             parse_partition(r["right"]), r["gaps"][0], r["gaps"][1])
+            for r in load_golden("table2.json")}
+
+
 def test_table2_matches_golden_rows():
     rows = derive_table2()
     assert len(rows) == 4
-    got = {(t.left, t.middle, t.right) + t.gaps for t in rows}
-    want = {(parse_partition(r["left"]), parse_partition(r["middle"]),
-             parse_partition(r["right"]), r["gaps"][0], r["gaps"][1])
-            for r in load_golden("table2.json")}
-    assert got == want
+    assert table2_rows(rows) == golden_table2_rows()
 
 
 def test_local_signature_matches_global_on_embeddings():
