@@ -298,7 +298,8 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
 def _specht_witness_holds(params: dict, la, p: int) -> bool:
     """T-SPECHT replay by its witness alone: regularize(nu) is the residue's
     e~^eps image of la and S^nu is irreducible.  Re-running the search's
-    theorem_b_applicable would repeat its block scans."""
+    theorem_b_applicable would search the ladder preimage of every residue
+    up to the witness's."""
     if set(params) != {"residue", "witness"}:
         return False
     i, nu = params["residue"], tuple(params["witness"])

@@ -162,8 +162,8 @@ def _load_golden(name: str) -> list:
 
 
 def _cmd_verify_tables(args) -> int:
-    derived1 = Counter(
-        (c.left, c.right, c.gap) for c in derive_table1(args.max_weight))
+    rows1 = derive_table1(args.max_weight)
+    derived1 = Counter((c.left, c.right, c.gap) for c in rows1)
     expected1 = Counter(
         (parse_partition(row["left"]), parse_partition(row["right"]),
          row["gap"])
@@ -177,7 +177,7 @@ def _cmd_verify_tables(args) -> int:
     parts = [f"Table I: {matched1}/{sum(expected1.values())} match"]
     if args.max_weight == 7:
         derived2 = Counter((t.left, t.middle, t.right, t.gaps)
-                           for t in derive_table2())
+                           for t in derive_table2(rows1))
         expected2 = Counter(
             (parse_partition(row["left"]), parse_partition(row["middle"]),
              parse_partition(row["right"]), tuple(row["gaps"]))
@@ -352,3 +352,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

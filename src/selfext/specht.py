@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import check_partition, height, is_p_regular, is_p_restricted
-from .abacus import (bead_rows, beta_set, component_from_rows, core_and_weight,
-                     display)
+from .partitions import check_partition, is_p_regular, is_p_restricted
+from .abacus import bead_rows, core_and_weight, display
 from .bijections import ladder_counts
 from .signatures import e_tilde, signature
 
@@ -31,9 +30,16 @@ class SpechtResult:
 
 
 def _runner_data(la, beads, p):
-    beta = beta_set(la, beads)
+    """Beta-numbers (descending), bead rows and quotient components of la read
+    with beads >= len(la) beads.  la must be a normalised tuple: nothing here
+    re-checks it."""
+    beta = [part + beads - i for i, part in enumerate(la, 1)]
+    beta += range(beads - len(la) - 1, -1, -1)
     rows = bead_rows(beta, p)
-    comps = [component_from_rows(r) for r in rows]
+    # the t-th lowest bead of a runner is its component's part from the
+    # bottom, r[t] - t; those rise weakly with t, so the zeros come first
+    comps = [tuple(r[t] - t for t in range(len(r) - 1, -1, -1) if r[t] > t)
+             for r in rows]
     return beta, rows, comps
 
 
@@ -49,17 +55,26 @@ def _condition_iii(beta, p, k, rows_k):
     if not rows_k:
         return True
     last = k + p * rows_k[-1]
-    return all(q in beta for q in range(last) if q % p != k)
+    occupied = set(beta)
+    return all(q in occupied for q in range(last) if q % p != k)
 
 
 @lru_cache(maxsize=65536)
 def _irreducible(la, p):
-    la = check_partition(la)
-    if core_and_weight(la, p)[1] == 0:
+    """The recursion behind specht_irreducible; la is a normalised tuple."""
+    h = max(len(la), 1)
+    beta, rows, comps = _runner_data(la, h, p)
+    busy = sum(1 for comp in comps if comp)
+    if busy == 0:
+        # empty quotient: weight 0, a core
         return SpechtResult(la, p, True)
-    h = max(height(la), 1)
+    if busy > 2:
+        # one more bead only rotates the runners, so every display has more
+        # than two nonempty runners and no (j, k) pair can pass
+        return SpechtResult(la, p, False)
     for beads in range(h, h + p):
-        beta, rows, comps = _runner_data(la, beads, p)
+        if beads > h:
+            beta, rows, comps = _runner_data(la, beads, p)
         nonempty = [j for j in range(p) if comps[j]]
         for j in range(p):
             for k in range(p):
@@ -158,8 +173,7 @@ def _ladder_preimage(mu, p: int) -> list:
     beads = display(core, p).beads + p * (d + 1)
 
     def quotient_key(nu):
-        comps = map(component_from_rows, bead_rows(beta_set(nu, beads), p))
-        return tuple((sum(c), c) for c in comps)
+        return tuple((sum(c), c) for c in _runner_data(nu, beads, p)[2])
 
     return sorted(found, key=quotient_key, reverse=True)
 
@@ -167,10 +181,18 @@ def _ladder_preimage(mu, p: int) -> list:
 def irreducible_specht_preimage(mu, p: int):
     """A partition nu with nu^R = mu (that is, with mu's ladder counts) and
     S^nu irreducible; None if there is none.  mu itself is tried first, then
-    the others in block-enumeration order."""
+    the others in block-enumeration order.  The answer is memoised per
+    (mu, p) in a bounded cache."""
     mu = check_partition(mu)
     if not is_p_regular(mu, p):
         raise ValueError(f"{mu} is not {p}-regular")
+    if p <= 2:
+        raise ValueError("the irreducibility criterion needs p > 2")
+    return _preimage(mu, p)
+
+
+@lru_cache(maxsize=65536)
+def _preimage(mu, p):
     if specht_irreducible(mu, p):
         return mu
     for nu in _ladder_preimage(mu, p):

@@ -168,20 +168,24 @@ def _difficulty_rows(left_rows, right_rows):
     return minus[0], plus[-1]
 
 
-def derive_table2() -> list:
+def derive_table2(pairs=None) -> list:
     """All runner triples forcing difficulty at both of their residues.
 
     Candidates chain two table-1 pairs through a shared middle component with
     total weight <= 7; the joint filter keeps a candidate only when each
     pair's difficulty window finds the third runner occupied where the full
     criterion needs it (outer runner at the other pair's good/cogood rows).
+    pairs, when given, are the rows of derive_table1(7) the caller already
+    holds; otherwise they are derived here.
     """
-    return [t for t in table2_candidates() if _joint_difficult(t)]
+    return [t for t in table2_candidates(pairs) if _joint_difficult(t)]
 
 
-def table2_candidates() -> list:
-    """The overlapping table-1 pair chains before the joint occupancy filter."""
-    pairs = derive_table1(7)
+def table2_candidates(pairs=None) -> list:
+    """The overlapping table-1 pair chains before the joint occupancy filter;
+    pairs defaults to derive_table1(7)."""
+    if pairs is None:
+        pairs = derive_table1(7)
     out = []
     for first in pairs:
         for second in pairs:

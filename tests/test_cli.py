@@ -1,10 +1,15 @@
 """Tests for the selfext command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from selfext import cli
+import selfext
+from selfext import cli, tables
 from selfext.certifier import certificate_from_dict, validate
 from selfext.cli import run
 
@@ -164,6 +169,49 @@ def test_verify_tables_json(capsys):
     assert payload["table1"]["matched"] == 66
     assert payload["table2"]["match"] is True
     assert payload["table2"]["matched"] == 4
+
+
+def test_verify_tables_derives_table1_once(capsys, monkeypatch):
+    calls = []
+    derive = tables.derive_table1
+
+    def counted(max_weight):
+        calls.append(max_weight)
+        return derive(max_weight)
+
+    monkeypatch.setattr(tables, "derive_table1", counted)
+    monkeypatch.setattr(cli, "derive_table1", counted)
+    code, out, _ = capture(capsys, ["verify-tables"])
+    assert code == 0
+    assert out.strip() == "Table I: 66/66 match; Table II: 4/4 match"
+    assert calls == [7]
+
+
+def run_module(module, *args, cwd):
+    src = str(Path(selfext.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    for module in ("selfext", "selfext.cli"):
+        done = run_module(module, "verify-tables", "--max-weight", "9",
+                          cwd=tmp_path)
+        assert done.returncode == 2, (module, done.stderr)
+        assert "max_weight" in done.stderr
+    done = run_module("selfext", "verify-tables", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "Table I: 66/66 match; Table II: 4/4 match"
+
+
+def test_specht_irreducible_rejects_unsorted_parts(capsys):
+    code, out, err = capture(capsys, ["specht-irreducible", "1,2", "--p", "3"])
+    assert code == 2
+    assert out == ""
+    assert "weakly decreasing" in err
 
 
 def test_enumerate_block_text(capsys):

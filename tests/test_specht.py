@@ -3,7 +3,8 @@
 import pytest
 
 import oracles
-from selfext.abacus import beta_set, component_from_rows, core_and_weight
+from selfext.abacus import (beta_set, component_from_rows, core_and_weight,
+                            display, quotient)
 from selfext.bijections import regularize
 from selfext.blocks import BlockId, enumerate_block
 from selfext.partitions import (
@@ -17,6 +18,7 @@ from selfext.signatures import epsilon, f_hat, signature
 from selfext.specht import (
     _irreducible,
     _ladder_preimage,
+    _preimage,
     irreducible_specht_preimage,
     special_runners,
     specht_irreducible,
@@ -155,6 +157,50 @@ def test_ladder_preimage_has_no_row_limit():
 
 def test_specht_cache_is_bounded():
     assert _irreducible.cache_info().maxsize == 65536
+
+
+def test_preimage_matches_block_scan_and_hook_oracle():
+    # mu first, then the rest of its block-scan preimage; the first one with
+    # an irreducible Specht module by the hook-valuation criterion
+    checked = 0
+    for p, nmax in ((3, 16), (5, 15), (7, 14)):
+        for n in range(nmax + 1):
+            for mu in partitions_of(n):
+                if not is_p_regular(mu, p):
+                    continue
+                checked += 1
+                scan = [mu] + [nu for nu in oracles.block_scan_preimage(mu, p)
+                               if nu != mu]
+                expected = next((nu for nu in scan
+                                 if oracles.jm_irreducible(nu, p)), None)
+                assert irreducible_specht_preimage(mu, p) == expected, (mu, p)
+    assert checked == 1393
+
+
+def test_three_busy_runners_are_reducible():
+    for p, nmax, expected in ((3, 20, 457), (5, 18, 70)):
+        busy = [la for n in range(nmax + 1) for la in partitions_of(n)
+                if sum(1 for c in quotient(display(la, p)).components if c) > 2]
+        assert len(busy) == expected, p
+        for la in busy:
+            assert not oracles.jm_irreducible(la, p), la
+            assert not specht_irreducible(la, p), la
+
+
+def test_preimage_cache_is_bounded():
+    assert _preimage.cache_info().maxsize == 65536
+
+
+def test_public_functions_check_their_input():
+    for bad in ((1, 2), (1, -1)):
+        for func in (specht_irreducible, irreducible_specht_preimage,
+                     theorem_b_applicable):
+            with pytest.raises(ValueError):
+                func(bad, 3)
+    assert specht_irreducible([3, 1, 0], 3) == specht_irreducible((3, 1), 3)
+    assert specht_irreducible([3, 1, 0], 3).partition == (3, 1)
+    assert irreducible_specht_preimage([2, 1, 0], 3) == (1, 1, 1)
+    assert theorem_b_applicable([4, 2, 1, 0], 3) == (0, (3, 1, 1))
 
 
 def test_preimage_rejects_singular():
