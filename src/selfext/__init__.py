@@ -1,7 +1,7 @@
 """Partition/abacus combinatorics behind self-extension vanishing for
 symmetric groups: crystal signatures, Mullineux, regularization, Specht
-irreducibility, block/RoCK tests, difficulty tables, zigzag dimensions, and
-a certificate-producing rule engine."""
+irreducibility, block/RoCK tests, difficulty tables, and a
+certificate-producing rule engine."""
 
 from .partitions import (check_partition, dominates, format_partition,
                          is_p_regular, is_p_restricted, parse_partition,
@@ -20,6 +20,5 @@ from .certifier import (ALL_RULES, Certificate, Rule, Step, certify,
 from .tables import (RunnerPairConfig, RunnerTripleConfig, derive_table1,
                      derive_table2, local_signature, locally_difficult,
                      realize_config, table2_candidates)
-from .zigzag import basis_dimension, degree_zero_dimension, generator_count
 
 __version__ = "0.1.0"

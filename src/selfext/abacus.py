@@ -29,17 +29,6 @@ class AbacusDisplay:
         if 0 not in self.occupied:
             raise ValueError("position 0 must be occupied")
 
-    def runner_rows(self, j: int) -> tuple:
-        """Sorted rows of the beads sitting on runner j."""
-        return tuple(bead_rows(self.occupied, self.p)[j])
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "beads": self.beads, "occupied": sorted(self.occupied)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AbacusDisplay":
-        return cls(int(data["p"]), int(data["beads"]), frozenset(int(q) for q in data["occupied"]))
-
 
 @dataclass(frozen=True)
 class RunnerStats:
@@ -216,26 +205,3 @@ def parse_config(text: str, p: int | None = None):
     if p is not None and len(entries) != p:
         raise ValueError(f"config has {len(entries)} runners, expected {p}")
     return entries
-
-
-def transpose_display(gamma: AbacusDisplay) -> AbacusDisplay:
-    """Complement-and-reverse in a window [0, W), W a multiple of p.
-
-    Decodes to the conjugate of the decoded partition.
-    """
-    top = max(gamma.occupied)
-    window = gamma.p * ((top + 2 + gamma.p - 1) // gamma.p)
-    occ = frozenset(window - 1 - q for q in range(window) if q not in gamma.occupied)
-    return AbacusDisplay(gamma.p, window - gamma.beads, occ)
-
-
-def removable_positions(gamma: AbacusDisplay) -> list:
-    """Occupied positions k >= 1 with k-1 empty, ascending."""
-    return sorted(q for q in gamma.occupied if q >= 1 and q - 1 not in gamma.occupied)
-
-
-def addable_positions(gamma: AbacusDisplay) -> list:
-    """Empty positions k with k-1 occupied, ascending."""
-    top = max(gamma.occupied)
-    return sorted(q for q in range(1, top + 2)
-                  if q not in gamma.occupied and q - 1 in gamma.occupied)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from .partitions import check_partition, height, is_p_regular
-from .abacus import AbacusDisplay, beta_set, decode
 
 
 def _rim_rows(la):
@@ -157,9 +156,3 @@ def regularize(la, p: int) -> tuple:
     if not is_p_regular(out, p):
         raise RuntimeError(f"ladder filling not {p}-regular for {la}")
     return out
-
-
-def regularize_display(gamma: AbacusDisplay) -> AbacusDisplay:
-    """Display of the regularization, with the bead count preserved."""
-    reg = regularize(decode(gamma), gamma.p)
-    return AbacusDisplay(gamma.p, gamma.beads, beta_set(reg, gamma.beads))

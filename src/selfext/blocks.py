@@ -72,8 +72,12 @@ def is_rouquier(rho, p: int, d: int) -> bool:
     rho = check_partition(rho)
     if core_and_weight(rho, p)[1] != 0:
         raise ValueError(f"{rho} is not a {p}-core")
-    h = height(rho)
-    for beads in range(max(h, 1), h + p * (d + 1) + 1):
+    if d < 0:
+        raise ValueError("weight must be non-negative")
+    # p more beads add one to every runner and keep the differences, so
+    # p consecutive bead counts cover every display.
+    low = max(height(rho), 1)
+    for beads in range(low, low + p):
         counts = [len(rows) for rows in bead_rows(beta_set(rho, beads), p)]
         if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
             return True

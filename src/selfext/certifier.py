@@ -118,8 +118,8 @@ def trick1_targets(la, p: int) -> list:
     return out
 
 
-def trick2_targets(la, p: int, max_chain: int | None = None) -> list:
-    """All Trick-2 chains of length at most max_chain (default p).
+def trick2_targets(la, p: int) -> list:
+    """All Trick-2 chains of length at most p.
 
     A chain walks residues i+1, i+2, ... applying f~^phi while eps stays 0,
     and ends at the first residue i+m (m >= 2) with eps > 0; it is valid when
@@ -130,15 +130,11 @@ def trick2_targets(la, p: int, max_chain: int | None = None) -> list:
     la = check_partition(la)
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
-    if max_chain is None:
-        max_chain = p
-    if max_chain < 1:
-        raise ValueError("max_chain must be positive")
     out = []
     for i in range(p):
         mu = la
         path = []
-        for m in range(2, max_chain + 1):
+        for m in range(2, p + 1):
             j = (i + m - 1) % p
             if signature(mu, p, j).epsilon != 0:
                 break
@@ -211,7 +207,7 @@ REDUCTIONS = {
                               for d, mu in _socle_edges(la, p, i)],
     "R-FIXEDTOP": _fixed_top_edges,
     "R-TRICK2": lambda la, p: [({"residues": path}, mu)
-                               for path, mu in trick2_targets(la, p, p)],
+                               for path, mu in trick2_targets(la, p)],
     # The search does not expand along this edge: a twin joins its source's
     # breadth-first level, and the visited map pairs it with its source.
     "R-MULLINEUX": lambda la, p: [({}, mullineux(la, p))],

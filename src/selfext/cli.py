@@ -18,7 +18,6 @@ from .blocks import BlockId, enumerate_block
 from .specht import specht_irreducible
 from .certifier import certify, validate
 from .tables import derive_table1, derive_table2
-from .zigzag import basis_dimension
 
 
 def _is_prime(p: int) -> bool:
@@ -251,18 +250,6 @@ def _cmd_regularize(args) -> int:
     return 0
 
 
-def _cmd_zigzag_dim(args) -> int:
-    p = _check_prime(args.p)
-    report = basis_dimension(p, args.m, args.d)
-    payload = {"p": p, "m": args.m, "d": args.d, "total": report.total,
-               "by_degree": [list(pair) for pair in report.by_degree]}
-    lines = [f"total {report.total}"]
-    if args.by_degree:
-        lines += [f"degree {deg}: {dim}" for deg, dim in report.by_degree]
-    _emit(payload, "\n".join(lines), args.json)
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfext",
@@ -320,14 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("regularize", _cmd_regularize, help="apply regularization")
     cmd.add_argument("partition")
     cmd.add_argument("--p", type=int, required=True)
-
-    cmd = add("zigzag-dim", _cmd_zigzag_dim,
-              help="dimension of the degree-d zigzag tensor space")
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--m", type=int, required=True)
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--by-degree", action="store_true",
-                     help="also list dimensions per degree")
 
     return parser
 

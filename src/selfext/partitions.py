@@ -118,15 +118,6 @@ def node_residue(node, p: int) -> int:
     return (col - row) % p
 
 
-def content(la, p: int) -> tuple:
-    """Residue histogram of the diagram: counts[i] = #nodes of residue i."""
-    counts = [0] * p
-    for row, part in enumerate(la, start=1):
-        for col in range(1, part + 1):
-            counts[(col - row) % p] += 1
-    return tuple(counts)
-
-
 def removable_nodes(la) -> list:
     """Nodes whose removal leaves a partition, ordered by row ascending."""
     out = []

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .partitions import (add_node, addable_nodes, check_partition,
                          is_p_regular, node_residue, remove_node,
                          removable_nodes)
-from .abacus import display
 
 
 @dataclass(frozen=True)
@@ -126,40 +125,6 @@ def f_tilde(la, p: int, i: int, r: int = 1):
     return out
 
 
-def e_hat(la, p: int, i: int, r: int = 1):
-    """Remove the r bottom-most i-removable nodes; None past epsilon'_i."""
-    la = check_partition(la)
-    nodes = [node for node in removable_nodes(la) if node_residue(node, p) == i % p]
-    nodes.sort(key=lambda node: node[1] - node[0])  # bottom first
-    if r > len(nodes):
-        return None
-    out = la
-    for node in nodes[:r]:
-        out = remove_node(out, node)
-    return out
-
-
-def f_hat(la, p: int, i: int, r: int = 1):
-    """Add the r top-most i-addable nodes; None past phi'_i."""
-    la = check_partition(la)
-    nodes = [node for node in addable_nodes(la) if node_residue(node, p) == i % p]
-    nodes.sort(key=lambda node: node[0] - node[1])  # top first
-    if r > len(nodes):
-        return None
-    out = la
-    for node in nodes[:r]:
-        out = add_node(out, node)
-    return out
-
-
-def weight_delta(la, p: int, i: int, r: int) -> int:
-    """Block-weight change wt(f~_i^r la) - wt(la) = r(phi_i - eps_i - r)."""
-    sig = signature(la, p, i)
-    if not 0 <= r <= sig.phi:
-        raise ValueError(f"need 0 <= r <= phi_i = {sig.phi}, got {r}")
-    return r * (sig.phi - sig.epsilon - r)
-
-
 def is_difficult(la, p: int, i: int) -> bool:
     """eps_i, phi_i > 0 and removing the good while adding the cogood node
     destroys p-regularity."""
@@ -171,62 +136,6 @@ def is_difficult(la, p: int, i: int) -> bool:
         return False
     swapped = add_node(remove_node(la, sig.good), sig.cogood)
     return not is_p_regular(swapped, p)
-
-
-def difficult_abacus_check(la, p: int, i: int) -> bool:
-    """Abacus form of difficulty: good bead at a = b + p with the cogood gap
-    at b and every position strictly between b and a-1 occupied."""
-    sig = signature(la, p, i)
-    if sig.epsilon == 0 or sig.phi == 0:
-        raise ValueError(f"difficulty pattern needs eps_i, phi_i > 0 at i={i}")
-    gamma = display(la, p)
-    n = gamma.beads
-    row, col = sig.good
-    a = col + n - row
-    row, col = sig.cogood
-    b = (col - 1) + n - row + 1
-    return a == b + p and all(q in gamma.occupied for q in range(b + 1, a - 1))
-
-
-@dataclass(frozen=True)
-class AdjacencyReport:
-    """Singularity of la_{A_r} / la^{B_r} versus the node-adjacency tests."""
-
-    partition: tuple
-    p: int
-    residue: int
-    # entries (r, singular, adjacent) for r = 1..eps resp. 1..phi
-    removals: tuple
-    additions: tuple
-
-
-def node_adjacency_checks(la, p: int, i: int) -> AdjacencyReport:
-    """For each normal A_r / conormal B_r, compare "result is p-singular"
-    with the step-pattern test A_r = A_{r-1} + (1-p, 1) resp.
-    B_r = B_{r-1} + (p-1, -1); the two must agree."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
-    sig = signature(la, p, i)
-    removals = []
-    for r in range(1, sig.epsilon + 1):
-        node = sig.normals[r - 1]
-        singular = not is_p_regular(remove_node(la, node), p)
-        prev = sig.normals[r - 2] if r >= 2 else None
-        adjacent = r >= 2 and node == (prev[0] + 1 - p, prev[1] + 1)
-        if singular != adjacent:
-            raise RuntimeError(f"adjacency mismatch at A_{r} of {la}, i={i}")
-        removals.append((r, singular, adjacent))
-    additions = []
-    for r in range(1, sig.phi + 1):
-        node = sig.conormals[r - 1]
-        singular = not is_p_regular(add_node(la, node), p)
-        prev = sig.conormals[r - 2] if r >= 2 else None
-        adjacent = r >= 2 and node == (prev[0] + p - 1, prev[1] - 1)
-        if singular != adjacent:
-            raise RuntimeError(f"adjacency mismatch at B_{r} of {la}, i={i}")
-        additions.append((r, singular, adjacent))
-    return AdjacencyReport(la, p, i % p, tuple(removals), tuple(additions))
 
 
 def reflections(la, p: int) -> list:

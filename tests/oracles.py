@@ -1,19 +1,26 @@
 """Independent desk oracles the test suite checks the library against.
 
 Everything here is computed straight from Young-diagram definitions (hook
-lengths, rim hooks, tabloids, explicit orbit enumeration) and deliberately
-avoids the abacus/signature machinery under test.  The two exceptions are
-the searches the library replaced, kept to cross-check it:
+lengths, rim hooks, tabloids, bead counts) and deliberately avoids the
+abacus/signature machinery under test.  The exceptions are the searches and
+cross-checks the library no longer carries, kept to check it:
 block_scan_preimage, the block scan behind the ladder preimage (its
 enumerate_block and regularize are themselves checked against the oracles
-here), and table1_by_local_signature, the Table I loop that judged every
-candidate by its full local signature.
+here); table1_by_local_signature, the Table I loop that judged every
+candidate by its full local signature; and, on top of selfext.signature,
+difficult_abacus_check (the abacus form of difficulty),
+node_adjacency_checks (singularity of normal/conormal moves against node
+steps) and add_all_addable (adding every i-addable node at once).
 """
 
 import itertools
 
+from selfext.abacus import display
 from selfext.bijections import regularize
 from selfext.blocks import block_of, enumerate_block
+from selfext.partitions import (add_node, addable_nodes, is_p_regular,
+                                node_residue, remove_node)
+from selfext.signatures import signature
 from selfext.tables import RunnerPairConfig, locally_difficult
 
 
@@ -220,36 +227,72 @@ def gram_irreducible(la, p):
 
 
 # ---------------------------------------------------------------------------
-# zigzag orbit enumeration
+# Rouquier cores
 
 
-def brute_basis_orbits(p, m, d):
-    """Degree histogram of d-letter words up to place permutation.
-
-    Letters are triples (symbol, r, s) with r, s in [m]; per vertex there is
-    one degree-0 and one degree-2 symbol (p-1 vertices) and the 2(p-2) arrow
-    symbols have degree 1 and may not repeat.  Orbits are enumerated as an
-    arrow subset times an even-letter multiset.
-    """
-    even_degrees = [0] * ((p - 1) * m * m) + [2] * ((p - 1) * m * m)
-    odd_count = 2 * (p - 2) * m * m
-    histogram = {}
-    for k in range(0, d + 1):
-        if k > odd_count:
-            break
-        subsets = sum(1 for _ in itertools.combinations(range(odd_count), k))
-        for multiset in itertools.combinations_with_replacement(
-                range(len(even_degrees)), d - k):
-            degree = k + sum(even_degrees[idx] for idx in multiset)
-            histogram[degree] = histogram.get(degree, 0) + subsets
-    return histogram
+def rouquier_by_full_scan(rho, p, d):
+    """Whether some display of the core rho with between max(h, 1) and
+    h + p(d+1) beads (h its height) has runner bead counts growing by at
+    least d-1 from each runner to the next."""
+    h = len(rho)
+    for beads in range(max(h, 1), h + p * (d + 1) + 1):
+        # the beads - h zero parts fill positions 0 .. beads - h - 1
+        counts = [(beads - h - j + p - 1) // p for j in range(p)]
+        for i, part in enumerate(rho, start=1):
+            counts[(part + beads - i) % p] += 1
+        if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
+            return True
+    return False
 
 
-def brute_degree_zero(p, m, d):
-    """Count multisets of size d over the (p-1)m^2 degree-0 letters."""
-    letters = (p - 1) * m * m
-    return sum(1 for _ in itertools.combinations_with_replacement(
-        range(letters), d))
+# ---------------------------------------------------------------------------
+# signature cross-checks
+
+
+def difficult_abacus_check(la, p, i):
+    """Abacus form of difficulty: good bead at a = b + p with the cogood gap
+    at b and every position strictly between b and a-1 occupied."""
+    sig = signature(la, p, i)
+    if sig.epsilon == 0 or sig.phi == 0:
+        raise ValueError(f"difficulty pattern needs eps_i, phi_i > 0 at i={i}")
+    gamma = display(la, p)
+    n = gamma.beads
+    row, col = sig.good
+    a = col + n - row
+    row, col = sig.cogood
+    b = (col - 1) + n - row + 1
+    return a == b + p and all(q in gamma.occupied for q in range(b + 1, a - 1))
+
+
+def node_adjacency_checks(la, p, i):
+    """For each normal A_r / conormal B_r, compare "result is p-singular"
+    with the step-pattern test A_r = A_{r-1} + (1-p, 1) resp.
+    B_r = B_{r-1} + (p-1, -1); raise AssertionError where they differ.
+    Returns (removals, additions) with entries (r, singular, adjacent)."""
+    sig = signature(la, p, i)
+    removals = []
+    for r, node in enumerate(sig.normals, start=1):
+        singular = not is_p_regular(remove_node(la, node), p)
+        prev = sig.normals[r - 2] if r >= 2 else None
+        adjacent = r >= 2 and node == (prev[0] + 1 - p, prev[1] + 1)
+        assert singular == adjacent, (la, i, "A", r)
+        removals.append((r, singular, adjacent))
+    additions = []
+    for r, node in enumerate(sig.conormals, start=1):
+        singular = not is_p_regular(add_node(la, node), p)
+        prev = sig.conormals[r - 2] if r >= 2 else None
+        adjacent = r >= 2 and node == (prev[0] + p - 1, prev[1] - 1)
+        assert singular == adjacent, (la, i, "B", r)
+        additions.append((r, singular, adjacent))
+    return tuple(removals), tuple(additions)
+
+
+def add_all_addable(la, p, i):
+    """la with every addable node of residue i added."""
+    for node in addable_nodes(la):
+        if node_residue(node, p) == i % p:
+            la = add_node(la, node)
+    return la
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 import oracles
 from selfext.abacus import (
     AbacusDisplay,
-    addable_positions,
     beta_set,
     component_from_rows,
     core_and_weight,
@@ -15,15 +14,9 @@ from selfext.abacus import (
     display,
     parse_config,
     quotient,
-    removable_positions,
     rows_for_component,
-    transpose_display,
 )
-from selfext.partitions import (
-    partitions_of,
-    removable_nodes,
-    transpose,
-)
+from selfext.partitions import partitions_of
 
 
 @st.composite
@@ -88,19 +81,6 @@ def test_abacus_display_validation():
         AbacusDisplay(1, 1, frozenset({0}))  # p too small
     with pytest.raises(ValueError):
         AbacusDisplay(3, 2, frozenset({0, -3}))  # negative position
-
-
-def test_runner_rows():
-    gamma = display((4, 2, 1), 3, 3)
-    assert gamma.runner_rows(0) == (0, 2, 3)
-    assert gamma.runner_rows(1) == (0, 1)
-    assert gamma.runner_rows(2) == (0,)
-
-
-def test_display_json_round_trip():
-    gamma = display((4, 2, 1), 3, 3)
-    data = gamma.to_json()
-    assert AbacusDisplay.from_json(data) == gamma
 
 
 def test_quotient_example():
@@ -169,23 +149,6 @@ def test_parse_config_malformed():
             parse_config(text)
 
 
-def test_transpose_display_example():
-    gamma = display((4, 2, 1), 3, 3)
-    assert decode(transpose_display(gamma)) == (3, 2, 1, 1)
-
-
-def test_removable_addable_positions():
-    gamma = display((4, 2, 1), 3, 3)
-    assert removable_positions(gamma) == [4, 6, 9]
-    assert addable_positions(gamma) == [3, 5, 7, 10]
-
-
-def test_removable_positions_empty_partition():
-    gamma = display((), 3, 3)
-    assert removable_positions(gamma) == []
-    assert addable_positions(gamma) == [3]
-
-
 @given(partition_strategy(), st.sampled_from([3, 5, 7]))
 def test_decode_display_round_trip(la, p):
     assert decode(display(la, p)) == la
@@ -196,18 +159,6 @@ def test_extra_bead_rows_are_invariant(la, p):
     gamma = display(la, p)
     occ = frozenset(q + p for q in gamma.occupied) | frozenset(range(p))
     assert decode(AbacusDisplay(p, gamma.beads + p, occ)) == la
-
-
-@given(partition_strategy(), st.sampled_from([3, 5, 7]))
-def test_transpose_display_conjugates(la, p):
-    assert decode(transpose_display(display(la, p))) == transpose(la)
-
-
-@given(partition_strategy(), st.sampled_from([3, 5, 7]))
-def test_removable_positions_count_matches_nodes(la, p):
-    gamma = display(la, p)
-    assert len(removable_positions(gamma)) == len(removable_nodes(la))
-    assert len(addable_positions(gamma)) == len(removable_nodes(la)) + 1
 
 
 @given(partition_strategy(), st.sampled_from([3, 5, 7]))

@@ -8,8 +8,6 @@ from selfext.abacus import (
     AbacusDisplay,
     beta_set,
     core_and_weight,
-    decode,
-    display,
     quotient,
 )
 from selfext.bijections import (
@@ -18,7 +16,6 @@ from selfext.bijections import (
     p_rim_symbol,
     peel_p_rim,
     regularize,
-    regularize_display,
 )
 from selfext.partitions import is_p_regular, partitions_of
 from selfext.signatures import epsilon, fixed_top_shape, phi
@@ -121,15 +118,6 @@ def test_regularize_properties(la, p):
         assert oracles.dominates(reg, la)
 
 
-def test_regularize_display_matches_regularize():
-    for n in range(11):
-        for la in partitions_of(n):
-            gamma = display(la, 3)
-            out = regularize_display(gamma)
-            assert out.beads == gamma.beads
-            assert decode(out) == regularize(la, 3)
-
-
 def witness_display(la, p, beads):
     while 0 not in beta_set(la, beads):
         beads += p
@@ -149,10 +137,11 @@ def test_regularization_empties_restricted_runner():
                 continue
             checked += 1
             gamma = witness_display(la, 3, res.beads)
-            stats = quotient(regularize_display(gamma))
+            stats = quotient(witness_display(regularize(la, 3), 3, gamma.beads))
             assert stats.components[res.restricted_runner] == ()
     assert checked >= 70
     res = specht_irreducible((6, 1, 1, 1, 1, 1), 5)
     gamma = witness_display((6, 1, 1, 1, 1, 1), 5, res.beads)
-    stats = quotient(regularize_display(gamma))
+    stats = quotient(witness_display(regularize((6, 1, 1, 1, 1, 1), 5),
+                                     5, gamma.beads))
     assert stats.components[res.restricted_runner] == ()

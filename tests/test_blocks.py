@@ -80,6 +80,23 @@ def test_is_rouquier_examples():
 def test_is_rouquier_rejects_non_core():
     with pytest.raises(ValueError):
         is_rouquier((3,), 3, 2)
+    with pytest.raises(ValueError):
+        is_rouquier((), 3, -1)
+
+
+def test_is_rouquier_matches_full_bead_scan():
+    # is_rouquier tries p bead counts; the oracle tries every count from
+    # max(h, 1) to h + p(d+1).
+    cases = 0
+    for p in (3, 5, 7):
+        cores = [rho for n in range(25) for rho in partitions_of(n)
+                 if core_and_weight(rho, p)[1] == 0]
+        for rho in cores:
+            for d in range(12):
+                assert (is_rouquier(rho, p, d)
+                        == oracles.rouquier_by_full_scan(rho, p, d)), (rho, p, d)
+                cases += 1
+    assert cases == 13344
 
 
 def test_is_rouquier_monotone_in_weight():

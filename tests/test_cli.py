@@ -275,18 +275,3 @@ def test_regularize_cli(capsys):
     code, out, _ = capture(capsys, ["regularize", "6,1^5", "--p", "5", "--json"])
     assert json.loads(out) == {"input": [6, 1, 1, 1, 1, 1],
                                "output": [6, 2, 1, 1, 1], "p": 5}
-
-
-def test_zigzag_dim_cli(capsys):
-    code, out, _ = capture(capsys, ["zigzag-dim", "--p", "3", "--m", "1", "--d", "1"])
-    assert code == 0
-    assert out.strip() == "total 6"
-    code, out, _ = capture(capsys, ["zigzag-dim", "--p", "3", "--m", "1",
-                                    "--d", "1", "--by-degree"])
-    assert out.splitlines() == ["total 6", "degree 0: 2", "degree 1: 2",
-                                "degree 2: 2"]
-    code, out, _ = capture(capsys, ["zigzag-dim", "--p", "3", "--m", "2",
-                                    "--d", "2", "--json"])
-    payload = json.loads(out)
-    assert payload["total"] == sum(dim for _, dim in payload["by_degree"])
-    assert [0, 36] in payload["by_degree"]

@@ -1,12 +1,18 @@
-"""Guard: every name a library module imports is read somewhere in it."""
+"""Guards on the library's names: every name a module imports is read in
+it, every top-level definition is used or exported, and every function the
+benchmark tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import selfext
 
-SOURCES = sorted(p for p in Path(selfext.__file__).parent.glob("*.py")
+PACKAGE = Path(selfext.__file__).parent
+SOURCES = sorted(p for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")  # __init__ re-exports
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +44,67 @@ def test_guard_flags_an_unused_import():
               "from math import gcd, lcm\n"
               "print(os.sep, lcm)\n")
     assert unused_imports(source) == [(2, "system"), (3, "gcd")]
+
+
+def read_names(node, skip=None) -> set:
+    """Names loaded and attributes read anywhere under node, except under
+    the subtree skip."""
+    names = set()
+    stack = [node]
+    while stack:
+        here = stack.pop()
+        if here is skip:
+            continue
+        if isinstance(here, ast.Name) and isinstance(here.ctx, ast.Load):
+            names.add(here.id)
+        elif isinstance(here, ast.Attribute):
+            names.add(here.attr)
+        stack.extend(ast.iter_child_nodes(here))
+    return names
+
+
+def unused_definitions(trees: dict) -> list:
+    """(module, name) of each top-level function or class that no module
+    reads outside its own definition and __init__.py does not import."""
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    out = []
+    for module, tree in sorted(trees.items()):
+        if module in ("__init__.py", "__main__.py"):
+            continue
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in exported
+                    and not any(node.name in read_names(other, node)
+                                for name, other in trees.items()
+                                if name != "__init__.py")):
+                out.append((module, node.name))
+    return out
+
+
+def test_every_src_name_is_used_or_exported():
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert unused_definitions(trees) == []
+
+
+def test_definition_guard_flags_a_test_only_helper():
+    trees = {
+        "__init__.py": ast.parse("from .a import public\n"),
+        "a.py": ast.parse("def public():\n    return helper()\n"
+                          "def helper():\n    return 1\n"
+                          "def orphan(n):\n    return orphan(n - 1)\n"),
+        "b.py": ast.parse("class Spare:\n    pass\n"),
+    }
+    assert unused_definitions(trees) == [("a.py", "orphan"), ("b.py", "Spare")]
+
+
+def test_every_tracer_target_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TARGETS) >= 10
+    for name, _ in tracer.TARGETS:
+        module_name, func_name = name.rsplit(".", 1)
+        module = importlib.import_module(f"selfext.{module_name}")
+        assert callable(getattr(module, func_name, None)), name

@@ -10,7 +10,6 @@ from selfext.partitions import (
     addable_nodes,
     add_node,
     check_partition,
-    content,
     dominates,
     format_partition,
     is_p_regular,
@@ -115,12 +114,6 @@ def test_node_residue_examples():
     assert node_residue((3, 1), 3) == 1
 
 
-def test_content_examples():
-    assert content((4, 2, 1), 3) == (3, 2, 2)
-    assert content((), 3) == (0, 0, 0)
-    assert content((1, 1, 1), 3) == (1, 1, 1)
-
-
 def test_removable_and_addable_examples():
     assert removable_nodes((4, 2, 1)) == [(1, 4), (2, 2), (3, 1)]
     assert addable_nodes((4, 2, 1)) == [(1, 5), (2, 3), (3, 2), (4, 1)]
@@ -169,20 +162,6 @@ def test_partitions_of_matches_oracle():
 def test_transpose_involution(la):
     assert transpose(transpose(la)) == la
     assert transpose(la) == oracles.conjugate(la)
-
-
-@given(partition_strategy())
-def test_content_sums_to_size(la):
-    for p in (3, 5):
-        assert sum(content(la, p)) == sum(la)
-
-
-@given(partition_strategy())
-def test_content_transpose_symmetry(la):
-    for p in (3, 5):
-        cont = content(la, p)
-        flipped = content(transpose(la), p)
-        assert all(flipped[i] == cont[(-i) % p] for i in range(p))
 
 
 @given(partition_strategy())

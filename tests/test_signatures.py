@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from selfext.abacus import core_and_weight, display
+import oracles
+from selfext.abacus import core_and_weight
 from selfext.partitions import (
     addable_nodes,
     is_p_regular,
@@ -12,19 +13,14 @@ from selfext.partitions import (
     removable_nodes,
 )
 from selfext.signatures import (
-    difficult_abacus_check,
-    e_hat,
     e_tilde,
     epsilon,
-    f_hat,
     f_tilde,
     fixed_top_shape,
     is_difficult,
-    node_adjacency_checks,
     phi,
     reflections,
     signature,
-    weight_delta,
 )
 
 
@@ -84,9 +80,11 @@ def test_f_tilde_examples():
 
 
 def test_hat_operator_examples():
-    assert e_hat((4, 2, 1), 3, 0, 2) == (3, 1, 1)
-    assert f_hat((4, 2, 1), 3, 0, 1) == (4, 2, 1, 1)
-    assert f_hat((4, 2, 1), 3, 0, 2) is None
+    # the full i-addition f^_i^{phi'_i} la
+    assert oracles.add_all_addable((4, 2, 1), 3, 0) == (4, 2, 1, 1)
+    assert oracles.add_all_addable((4, 2, 1), 3, 1) == (5, 3, 1)
+    assert oracles.add_all_addable((4, 2, 1), 3, 2) == (4, 2, 2)
+    assert oracles.add_all_addable((), 3, 1) == ()
 
 
 def test_tilde_operators_reject_singular_input():
@@ -102,17 +100,12 @@ def test_tilde_operators_reject_negative_r():
 
 
 def test_weight_delta_example():
-    assert weight_delta((4, 2, 1), 3, 0, 1) == -2
+    # wt(f~_i^r la) - wt(la) = r(phi_i - eps_i - r); here phi_0 = 1, eps_0 = 2
+    sig = signature((4, 2, 1), 3, 0)
+    assert 1 * (sig.phi - sig.epsilon - 1) == -2
+    assert f_tilde((4, 2, 1), 3, 0, 1) == (4, 2, 1, 1)
     assert core_and_weight((4, 2, 1, 1), 3)[1] == 0
     assert core_and_weight((4, 2, 1), 3)[1] == 2
-    assert weight_delta((4, 2, 1), 3, 0, 0) == 0
-
-
-def test_weight_delta_range_check():
-    with pytest.raises(ValueError):
-        weight_delta((4, 2, 1), 3, 0, 2)
-    with pytest.raises(ValueError):
-        weight_delta((4, 2, 1), 3, 0, -1)
 
 
 def test_is_difficult_examples():
@@ -136,10 +129,10 @@ def test_difficult_abacus_check_agrees():
                 for i in range(p):
                     sig = signature(la, p, i)
                     if sig.epsilon > 0 and sig.phi > 0:
-                        assert difficult_abacus_check(la, p, i) == is_difficult(la, p, i)
+                        assert oracles.difficult_abacus_check(la, p, i) == is_difficult(la, p, i)
                     else:
                         with pytest.raises(ValueError):
-                            difficult_abacus_check(la, p, i)
+                            oracles.difficult_abacus_check(la, p, i)
 
 
 def test_difficult_partitions_contain_step_segment():
@@ -163,21 +156,21 @@ def test_difficult_partitions_contain_step_segment():
 
 
 def test_node_adjacency_hand_case():
-    rep = node_adjacency_checks((3, 1, 1), 3, 2)
-    assert rep.removals == ((1, False, False),)
-    assert rep.additions == ()
+    removals, additions = oracles.node_adjacency_checks((3, 1, 1), 3, 2)
+    assert removals == ((1, False, False),)
+    assert additions == ()
 
 
 def test_node_adjacency_sweep_consistent():
-    # the function raises RuntimeError internally on any mismatch
+    # the oracle asserts internally that singularity matches adjacency
     for n in range(13):
         for la in partitions_of(n):
             if not is_p_regular(la, 3):
                 continue
             for i in range(3):
-                rep = node_adjacency_checks(la, 3, i)
-                assert len(rep.removals) == epsilon(la, 3, i)
-                assert len(rep.additions) == phi(la, 3, i)
+                removals, additions = oracles.node_adjacency_checks(la, 3, i)
+                assert len(removals) == epsilon(la, 3, i)
+                assert len(additions) == phi(la, 3, i)
 
 
 def test_reflections_examples():
@@ -218,7 +211,7 @@ def test_weight_delta_matches_abacus(la, i):
     for r in range(sig.phi + 1):
         mu = f_tilde(la, 3, i, r)
         assert (core_and_weight(mu, 3)[1] - core_and_weight(la, 3)[1]
-                == weight_delta(la, 3, i, r))
+                == r * (sig.phi - sig.epsilon - r))
 
 
 @given(regular_partition_strategy(3))

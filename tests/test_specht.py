@@ -14,7 +14,7 @@ from selfext.partitions import (
     partitions_of,
     transpose,
 )
-from selfext.signatures import epsilon, f_hat, signature
+from selfext.signatures import epsilon, signature
 from selfext.specht import (
     _irreducible,
     _ladder_preimage,
@@ -242,7 +242,7 @@ def test_full_addition_preserves_irreducibility():
                     if count == 0:
                         continue
                     steps += 1
-                    assert specht_irreducible(f_hat(la, p, i, count), p)
+                    assert specht_irreducible(oracles.add_all_addable(la, p, i), p)
     assert steps >= 200
 
 
