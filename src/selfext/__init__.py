@@ -3,9 +3,9 @@ symmetric groups: crystal signatures, Mullineux, regularization, Specht
 irreducibility, block/RoCK tests, difficulty tables, and a
 certificate-producing rule engine."""
 
-from .partitions import (check_partition, dominates, format_partition,
-                         is_p_regular, is_p_restricted, parse_partition,
-                         partitions_of, transpose)
+from .partitions import (check_partition, check_regular, dominates,
+                         format_partition, is_p_regular, is_p_restricted,
+                         parse_partition, partitions_of, transpose)
 from .abacus import (AbacusDisplay, beta_set, core_and_weight, decode,
                      decode_config, display, parse_config, quotient)
 from .signatures import (SignatureReport, e_tilde, epsilon, f_tilde,

@@ -56,11 +56,7 @@ def bead_rows(positions, p: int) -> list:
 
 def beta_set(la, beads: int) -> frozenset:
     """Beta-numbers of la read with the given number of beads."""
-    la = check_partition(la)
-    if beads < height(la):
-        raise ValueError(f"need at least {height(la)} beads for {la}")
-    parts = la + (0,) * (beads - height(la))
-    return frozenset(parts[i - 1] + beads - i for i in range(1, beads + 1))
+    return frozenset(rows_for_component(check_partition(la), beads))
 
 
 def display(la, p: int, beads: int | None = None) -> AbacusDisplay:
@@ -70,35 +66,30 @@ def display(la, p: int, beads: int | None = None) -> AbacusDisplay:
         beads = height(la) + 1
     if beads < max(height(la), 1):
         raise ValueError(f"need at least {max(height(la), 1)} beads for {la}")
-    occ = beta_set(la, beads)
-    if 0 not in occ:
+    if beads == height(la):  # no part is read as 0, so position 0 is empty
         beads += p
-        occ = beta_set(la, beads)
-    return AbacusDisplay(p, beads, occ)
+    # a partition's beta-set is its bead rows on a single runner
+    return AbacusDisplay(p, beads, frozenset(rows_for_component(la, beads)))
 
 
 def decode(gamma: AbacusDisplay) -> tuple:
     """Partition encoded by a display: la_k = (k-th largest position) - (N - k)."""
-    positions = sorted(gamma.occupied, reverse=True)
-    parts = [positions[k] - (gamma.beads - 1 - k) for k in range(gamma.beads)]
-    return check_partition(parts)
+    return component_from_rows(gamma.occupied)  # a one-runner reading
 
 
 def rows_for_component(component, count: int) -> tuple:
     """Bead rows of a single runner carrying `component` with `count` beads."""
-    component = check_partition(component)
     if count < height(component):
-        raise ValueError(f"runner needs at least {height(component)} beads for {component}")
+        raise ValueError(f"need at least {height(component)} beads for {component}")
     parts = component + (0,) * (count - height(component))
     return tuple(sorted(parts[i - 1] + count - i for i in range(1, count + 1)))
 
 
 def component_from_rows(rows) -> tuple:
     """Partition read off a single runner whose beads sit at the given rows."""
-    rows = sorted(rows)
-    count = len(rows)
-    parts = [rows[count - i] - (count - i) for i in range(1, count + 1)]
-    return check_partition(parts)
+    rows = sorted(rows)  # the t-th lowest bead gives the part rows[t] - t
+    return tuple(rows[t] - t for t in reversed(range(len(rows)))
+                 if rows[t] > t)
 
 
 def quotient(gamma: AbacusDisplay) -> RunnerStats:

@@ -1,7 +1,7 @@
 """The Mullineux involution (p-rim symbol algorithm) and ladder regularization."""
 from __future__ import annotations
 
-from .partitions import check_partition, height, is_p_regular
+from .partitions import check_partition, check_regular, height, is_p_regular
 
 
 def _rim_rows(la):
@@ -21,7 +21,6 @@ def peel_p_rim(la, p: int):
     p nodes the walk restarts at the first rim node of the next row down, and
     the final segment may be shorter.
     """
-    la = check_partition(la)
     if not la:
         raise ValueError("cannot peel the empty partition")
     h = len(la)
@@ -40,13 +39,12 @@ def peel_p_rim(la, p: int):
                 break
             row += 1
         row += 1  # next segment starts at the first rim node of the row below
-    new = [la[k] - removed[k] for k in range(h)]
-    return check_partition(new), total
+    new = (la[k] - removed[k] for k in range(h))
+    return tuple(part for part in new if part), total  # the zeros are trailing
 
 
 def p_rim_symbol(la, p: int):
     """Columns (a_k, r_k) = (rim size, height before peeling) down to empty."""
-    la = check_partition(la)
     columns = []
     while la:
         h = height(la)
@@ -60,7 +58,6 @@ def add_p_rim(mu, p: int, a: int, s: int):
 
     Searches over segment-end rows; every candidate is checked by re-peeling.
     """
-    mu = check_partition(mu)
     m = (a + p - 1) // p
     if m == 0 or s < m:
         raise ValueError(f"no partition adds a p-rim of size {a} at height {s}")
@@ -113,10 +110,7 @@ def add_p_rim(mu, p: int, a: int, s: int):
 
 def mullineux(la, p: int) -> tuple:
     """Image of la under the Mullineux involution (sign-twist of simples)."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
-    columns = p_rim_symbol(la, p)
+    columns = p_rim_symbol(check_regular(la, p), p)
     out = ()
     for a, r in reversed(columns):
         eps = 0 if a % p == 0 else 1
@@ -150,9 +144,10 @@ def regularize(la, p: int) -> tuple:
         row_len[r] = max(row_len.get(r, 0), c)
     if any((r, c) not in filled for r in row_len for c in range(1, row_len[r] + 1)):
         raise RuntimeError(f"ladder filling not left-justified for {la}")
-    if sorted(row_len) != list(range(1, len(row_len) + 1)):
-        raise RuntimeError(f"ladder filling produced row gaps for {la}")
-    out = check_partition([row_len[r] for r in sorted(row_len)])
+    # top-justified as well: no row gaps and weakly decreasing rows
+    if any((r - 1, c) not in filled for r, c in filled if r > 1):
+        raise RuntimeError(f"ladder filling not top-justified for {la}")
+    out = tuple(row_len[r] for r in range(1, len(row_len) + 1))
     if not is_p_regular(out, p):
         raise RuntimeError(f"ladder filling not {p}-regular for {la}")
     return out

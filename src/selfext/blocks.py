@@ -3,9 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import check_partition, height, is_p_regular, partitions_of
-from .abacus import (AbacusDisplay, bead_rows, beta_set, core_and_weight,
-                     decode, display, rows_for_component)
+from .partitions import (check_partition, check_regular, height,
+                         is_p_regular, partitions_of)
+from .abacus import (AbacusDisplay, bead_rows, core_and_weight, decode,
+                     display, rows_for_component)
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,7 @@ class BlockId:
 
     def __post_init__(self):
         core = check_partition(self.core)
+        object.__setattr__(self, "core", core)
         if core_and_weight(core, self.p)[1] != 0:
             raise ValueError(f"{core} is not a {self.p}-core")
         if self.weight < 0:
@@ -74,11 +76,17 @@ def is_rouquier(rho, p: int, d: int) -> bool:
         raise ValueError(f"{rho} is not a {p}-core")
     if d < 0:
         raise ValueError("weight must be non-negative")
+    return _rouquier_counts(rho, p, d)
+
+
+def _rouquier_counts(core, p: int, d: int) -> bool:
+    """is_rouquier's bead-count test on a core it has already checked."""
     # p more beads add one to every runner and keep the differences, so
     # p consecutive bead counts cover every display.
-    low = max(height(rho), 1)
+    low = max(height(core), 1)
     for beads in range(low, low + p):
-        counts = [len(rows) for rows in bead_rows(beta_set(rho, beads), p)]
+        betas = rows_for_component(core, beads)  # its rows on one runner
+        counts = [len(rows) for rows in bead_rows(betas, p)]
         if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
             return True
     return False
@@ -86,8 +94,5 @@ def is_rouquier(rho, p: int, d: int) -> bool:
 
 def is_rock_block(la, p: int) -> bool:
     """True iff la lies in a block with a d-Rouquier core, d = wt(la)."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
-    core, d = core_and_weight(la, p)
-    return is_rouquier(core, p, d)
+    core, d = core_and_weight(check_regular(la, p), p)
+    return _rouquier_counts(core, p, d)

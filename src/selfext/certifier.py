@@ -13,11 +13,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .partitions import (add_node, check_partition, height, is_p_regular,
-                         remove_node, size)
+from .partitions import (add_node, check_partition, check_prime,
+                         check_regular, height, is_p_regular, remove_node,
+                         size)
 from .abacus import core_and_weight
-from .signatures import (e_tilde, f_tilde, fixed_top_shape, is_difficult,
-                         reflections, signature)
+from .signatures import (add_conormals, difficult, fixed_top_shape,
+                         reflections, remove_normals, signature)
 from .bijections import mullineux, regularize
 from .blocks import is_rock_block
 from .specht import specht_irreducible, theorem_b_applicable
@@ -107,14 +108,12 @@ def _normalize_rules(enabled_rules) -> frozenset:
 
 def trick1_targets(la, p: int) -> list:
     """All (i, mu) with eps_i > 0, la not i-difficult, mu = e~_i^{eps_i} la."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    la = check_regular(la, p)
     out = []
     for i in range(p):
-        eps = signature(la, p, i).epsilon
-        if eps > 0 and not is_difficult(la, p, i):
-            out.append((i, e_tilde(la, p, i, eps)))
+        sig = signature(la, p, i)
+        if sig.epsilon > 0 and not difficult(sig):
+            out.append((i, remove_normals(sig, sig.epsilon)))
     return out
 
 
@@ -127,25 +126,22 @@ def trick2_targets(la, p: int) -> list:
     (residue path, target) pairs with target = e~^eps of the endpoint; the
     path lists the stepped residues, its last entry being the endpoint's.
     """
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    la = check_regular(la, p)
     out = []
     for i in range(p):
-        mu = la
+        sig = signature(la, p, i + 1)
         path = []
         for m in range(2, p + 1):
-            j = (i + m - 1) % p
-            if signature(mu, p, j).epsilon != 0:
+            if sig.epsilon != 0:
                 break
-            mu = f_tilde(mu, p, j, signature(mu, p, j).phi)
-            path.append(j)
-            jf = (i + m) % p
-            sig = signature(mu, p, jf)
+            mu = add_conormals(sig, sig.phi)
+            path.append(sig.residue)
+            # the next step's residue is this step's endpoint residue
+            sig = signature(mu, p, i + m)
             if sig.epsilon > 0:
-                if sig.phi > 0 and not is_difficult(mu, p, jf):
-                    out.append((tuple(path) + (jf,),
-                                e_tilde(mu, p, jf, sig.epsilon)))
+                if sig.phi > 0 and not difficult(sig):
+                    out.append((tuple(path) + (sig.residue,),
+                                remove_normals(sig, sig.epsilon)))
                 break
     return out
 
@@ -161,7 +157,7 @@ def _socle_edges(la, p: int, i: int) -> list:
     r, s = sig.epsilon, sig.phi
     out = []
     if r > 0:
-        mu = e_tilde(la, p, i, r)
+        mu = remove_normals(sig, r)
         ok = True
         if s > 0:
             b = signature(mu, p, i).conormals[r]
@@ -169,7 +165,7 @@ def _socle_edges(la, p: int, i: int) -> list:
         if ok:
             out.append(("e", mu))
     if s > 0:
-        nu = f_tilde(la, p, i, s)
+        nu = add_conormals(sig, s)
         ok = True
         if r > 0:
             a = signature(nu, p, i).normals[s]
@@ -235,13 +231,11 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     twin, before any expansion; the visited set holds both members of every
     discovered pair, so each twin is computed once, and certificates never
     exceed max_steps steps.  Returns an UNKNOWN certificate with no steps
-    when the search space is exhausted.
+    when the search space is exhausted.  p must be a prime above 2.
     """
-    la = check_partition(la)
-    if p <= 2:
+    if check_prime(p) == 2:
         raise ValueError("the rule engine needs p > 2")
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    la = check_regular(la, p)
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     rules = _normalize_rules(enabled_rules)
@@ -301,18 +295,19 @@ def _specht_witness_holds(params: dict, la, p: int) -> bool:
     i, nu = params["residue"], tuple(params["witness"])
     if i not in range(p):
         return False
-    mu = e_tilde(la, p, i, signature(la, p, i).epsilon)
-    return regularize(nu, p) == mu and bool(specht_irreducible(nu, p))
+    sig = signature(la, p, i)
+    return (regularize(nu, p) == remove_normals(sig, sig.epsilon)
+            and bool(specht_irreducible(nu, p)))
 
 
 def validate(cert: Certificate) -> bool:
-    """True iff cert is a complete proof: CERTIFIED status, every step
-    linked, acyclic and among the edges its rule generates from its source
-    (with exactly those params), and the terminal criterion holding for the
-    final partition with exactly the params the search would record."""
+    """True iff cert is a complete proof: a prime p > 2, CERTIFIED status,
+    every step linked, acyclic and among the edges its rule generates from
+    its source (exactly those params), and the terminal criterion holding for
+    the final partition with exactly the params the search would record."""
     try:
-        p = cert.p
-        if p <= 2 or cert.status != "CERTIFIED" or cert.terminal is None:
+        p = check_prime(cert.p)
+        if p == 2 or cert.status != "CERTIFIED" or cert.terminal is None:
             return False
         chain = [check_partition(cert.start)]
         for step in cert.steps:
@@ -322,7 +317,7 @@ def validate(cert: Certificate) -> bool:
             edges = REDUCTIONS[step.rule.tag](la, p)
             if (step.rule.params, step.target) not in edges:
                 return False
-            chain.append(check_partition(step.target))
+            chain.append(step.target)  # equal to a tuple the rule built
         la = chain[-1]
         if len(set(chain)) != len(chain) or not is_p_regular(la, p):
             return False

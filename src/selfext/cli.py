@@ -9,8 +9,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
-from .partitions import (format_partition, is_p_regular, parse_partition,
-                         partitions_of)
+from .partitions import (check_prime, format_partition, is_p_regular,
+                         parse_partition, partitions_of)
 from .abacus import core_and_weight
 from .signatures import signature
 from .bijections import mullineux, regularize
@@ -18,18 +18,6 @@ from .blocks import BlockId, enumerate_block
 from .specht import specht_irreducible
 from .certifier import certify, validate
 from .tables import derive_table1, derive_table2
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p ** 0.5) + 1))
-
-
-def _check_prime(p: int) -> int:
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return p
 
 
 def _workers() -> int:
@@ -42,7 +30,7 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    p = _check_prime(args.p)
+    p = check_prime(args.p)
     la = parse_partition(args.partition)
     core, weight = core_and_weight(la, p)
     residues = []
@@ -86,7 +74,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    p = _check_prime(args.p)
+    p = check_prime(args.p)
     la = parse_partition(args.partition)
     rules = None
     if args.rules:
@@ -119,7 +107,7 @@ def _survey_one(task):
 
 
 def _cmd_survey(args) -> int:
-    p = _check_prime(args.p)
+    p = check_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be non-negative")
     tasks = [(la, p) for la in partitions_of(args.n) if is_p_regular(la, p)]
@@ -192,7 +180,7 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_enumerate_block(args) -> int:
-    p = _check_prime(args.p)
+    p = check_prime(args.p)
     core = parse_partition(args.core)
     block = BlockId(core, args.weight, p)
     members = enumerate_block(block, regular_only=args.regular)
@@ -221,7 +209,7 @@ def _specht_dict(result) -> dict:
 
 
 def _cmd_specht(args) -> int:
-    p = _check_prime(args.p)
+    p = check_prime(args.p)
     la = parse_partition(args.partition)
     result = specht_irreducible(la, p)
     lines = ["irreducible" if result.irreducible else "reducible"]
@@ -233,7 +221,7 @@ def _cmd_specht(args) -> int:
 
 
 def _cmd_mullineux(args) -> int:
-    p = _check_prime(args.p)
+    p = check_prime(args.p)
     la = parse_partition(args.partition)
     out = mullineux(la, p)
     _emit({"input": list(la), "output": list(out), "p": p},
@@ -242,7 +230,7 @@ def _cmd_mullineux(args) -> int:
 
 
 def _cmd_regularize(args) -> int:
-    p = _check_prime(args.p)
+    p = check_prime(args.p)
     la = parse_partition(args.partition)
     out = regularize(la, p)
     _emit({"input": list(la), "output": list(out), "p": p},

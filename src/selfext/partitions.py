@@ -2,16 +2,19 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the trivial partition of 0.  Nodes are 1-based (row, col) pairs.
+Functions the package exports pass their input through check_partition once;
+the helpers below them (remove_node, add_node, ...) take such tuples as given.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 Partition = tuple
 Node = tuple
 
-MAX_SIZE = 100_000  # parse_partition refuses text that expands past this
+MAX_SIZE = 100_000  # the largest partition text size and p accepted
 
 
 def check_partition(la) -> tuple:
@@ -24,6 +27,16 @@ def check_partition(la) -> tuple:
     if any(map(operator.lt, parts, parts[1:])):
         raise ValueError(f"parts must be weakly decreasing: {la!r}")
     return parts
+
+
+def check_prime(p: int) -> int:
+    """p if it is a prime of at most MAX_SIZE, else ValueError; the bound
+    comes first, so a huge p never reaches the trial division."""
+    if p > MAX_SIZE:
+        raise ValueError(f"p must be at most {MAX_SIZE}, got {p}")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
 
 
 def size(la) -> int:
@@ -68,13 +81,10 @@ def parse_partition(text: str) -> tuple:
 
 def format_partition(la) -> str:
     """Render (4,2,2,2,1) as '4,2^3,1'; the empty partition as '-'."""
-    if not la:
-        return "-"
-    chunks = []
-    for value, group in itertools.groupby(la):
-        mult = len(list(group))
-        chunks.append(str(value) if mult == 1 else f"{value}^{mult}")
-    return ",".join(chunks)
+    runs = [(value, len(list(group)))
+            for value, group in itertools.groupby(check_partition(la))]
+    return ",".join(str(value) if mult == 1 else f"{value}^{mult}"
+                    for value, mult in runs) or "-"
 
 
 def is_p_regular(la, p: int) -> bool:
@@ -82,6 +92,14 @@ def is_p_regular(la, p: int) -> bool:
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     return all(len(list(g)) < p for _, g in itertools.groupby(la))
+
+
+def check_regular(la, p: int) -> tuple:
+    """check_partition(la), then raise ValueError unless it is p-regular."""
+    la = check_partition(la)
+    if not is_p_regular(la, p):
+        raise ValueError(f"{la} is not {p}-regular")
+    return la
 
 
 def is_p_restricted(la, p: int) -> bool:
@@ -94,22 +112,20 @@ def is_p_restricted(la, p: int) -> bool:
 
 def transpose(la) -> tuple:
     """Conjugate partition: column lengths of la."""
-    if not la:
-        return ()
-    return tuple(sum(1 for part in la if part >= c) for c in range(1, la[0] + 1))
+    la = check_partition(la)
+    return tuple(sum(part >= c for part in la)
+                 for c in range(1, max(la, default=0) + 1))
 
 
 def dominates(la, mu) -> bool:
     """True iff every prefix sum of la is >= the matching prefix sum of mu."""
-    if sum(la) != sum(mu):
+    la, mu = check_partition(la), check_partition(mu)
+    n = sum(la)
+    if sum(mu) != n:
         raise ValueError(f"dominance needs equal sizes: {la} vs {mu}")
-    total_l = total_m = 0
-    for k in range(max(len(la), len(mu))):
-        total_l += la[k] if k < len(la) else 0
-        total_m += mu[k] if k < len(mu) else 0
-        if total_l < total_m:
-            return False
-    return True
+    sums = itertools.zip_longest(itertools.accumulate(la),
+                                 itertools.accumulate(mu), fillvalue=n)
+    return all(total_l >= total_m for total_l, total_m in sums)
 
 
 def node_residue(node, p: int) -> int:
@@ -146,7 +162,7 @@ def remove_node(la, node) -> tuple:
         raise ValueError(f"node {node} is not removable from {la}")
     parts = list(la)
     parts[row - 1] -= 1
-    return check_partition(parts)
+    return tuple(parts[:-1] if parts[-1] == 0 else parts)
 
 
 def add_node(la, node) -> tuple:
@@ -156,7 +172,7 @@ def add_node(la, node) -> tuple:
         raise ValueError(f"node {node} is not addable to {la}")
     parts = list(la) + [0]
     parts[row - 1] += 1
-    return check_partition(parts)
+    return tuple(parts if parts[-1] else parts[:-1])
 
 
 def partitions_of(n: int, max_part: int | None = None):

@@ -9,10 +9,11 @@ B_1..B_phi labeled top to bottom (cogood node = B_1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .partitions import (add_node, addable_nodes, check_partition,
-                         is_p_regular, node_residue, remove_node,
-                         removable_nodes)
+                         check_regular, is_p_regular, node_residue,
+                         remove_node, removable_nodes)
 
 
 @dataclass(frozen=True)
@@ -93,75 +94,66 @@ def phi(la, p, i) -> int:
     return signature(la, p, i).phi
 
 
+def remove_normals(sig: SignatureReport, r: int) -> tuple:
+    """sig.partition without its r bottom-most normal nodes (r <= epsilon)."""
+    return reduce(remove_node, sig.normals[:r], sig.partition)
+
+
+def add_conormals(sig: SignatureReport, r: int) -> tuple:
+    """sig.partition with its r top-most conormal nodes added (r <= phi)."""
+    return reduce(add_node, sig.conormals[:r], sig.partition)
+
+
 def e_tilde(la, p: int, i: int, r: int = 1):
     """Remove the r bottom-most normal i-nodes; None if r exceeds epsilon_i."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    la = check_regular(la, p)
     if r < 0:
         raise ValueError("r must be non-negative")
     sig = signature(la, p, i)
-    if r > sig.epsilon:
-        return None
-    out = la
-    for node in sig.normals[:r]:
-        out = remove_node(out, node)
-    return out
+    return None if r > sig.epsilon else remove_normals(sig, r)
 
 
 def f_tilde(la, p: int, i: int, r: int = 1):
     """Add the r top-most conormal i-nodes; None if r exceeds phi_i."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    la = check_regular(la, p)
     if r < 0:
         raise ValueError("r must be non-negative")
     sig = signature(la, p, i)
-    if r > sig.phi:
-        return None
-    out = la
-    for node in sig.conormals[:r]:
-        out = add_node(out, node)
-    return out
+    return None if r > sig.phi else add_conormals(sig, r)
+
+
+def difficult(sig: SignatureReport) -> bool:
+    """is_difficult read off a signature report the caller already holds."""
+    if sig.epsilon == 0 or sig.phi == 0:
+        return False
+    swapped = add_node(remove_node(sig.partition, sig.good), sig.cogood)
+    return not is_p_regular(swapped, sig.p)
 
 
 def is_difficult(la, p: int, i: int) -> bool:
     """eps_i, phi_i > 0 and removing the good while adding the cogood node
     destroys p-regularity."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
-    sig = signature(la, p, i)
-    if sig.epsilon == 0 or sig.phi == 0:
-        return False
-    swapped = add_node(remove_node(la, sig.good), sig.cogood)
-    return not is_p_regular(swapped, p)
+    return difficult(signature(check_regular(la, p), p, i))
 
 
 def reflections(la, p: int) -> list:
     """All (i, mu) with mu = f~_i^{phi_i} la when eps_i = 0, or
     mu = e~_i^{eps_i} la when phi_i = 0 (degenerate eps = phi = 0 excluded)."""
-    la = check_partition(la)
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    la = check_regular(la, p)
     out = []
     for i in range(p):
         sig = signature(la, p, i)
         if sig.epsilon == 0 and sig.phi > 0:
-            out.append((i, f_tilde(la, p, i, sig.phi)))
+            out.append((i, add_conormals(sig, sig.phi)))
         elif sig.phi == 0 and sig.epsilon > 0:
-            out.append((i, e_tilde(la, p, i, sig.epsilon)))
+            out.append((i, remove_normals(sig, sig.epsilon)))
     return out
 
 
 def fixed_top_shape(la, p: int):
     """Residue i when la = ((a+1)^c, a^{p-2}, a-1, ...) with (c, a+1) good and
-    (c+p-1, a) cogood at residue i; None otherwise."""
-    la = check_partition(la)
-    if p <= 2:
-        raise ValueError("shape rule needs p > 2")
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    (c+p-1, a) cogood at residue i; None otherwise.  la is a p-regular
+    tuple and p > 2, as the caller has checked."""
     if not la or la[0] < 2:
         return None
     a = la[0] - 1

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import check_partition, is_p_regular, is_p_restricted
+from .partitions import (check_partition, check_regular, is_p_regular,
+                         is_p_restricted)
 from .abacus import bead_rows, core_and_weight, display
 from .bijections import ladder_counts
-from .signatures import e_tilde, signature
+from .signatures import remove_normals, signature
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,7 @@ def special_runners(la, p: int):
     """(non-restricted runner, non-regular runner) of an irreducible-Specht
     label; each is None when the corresponding property holds (cores: both)."""
     result = specht_irreducible(la, p)
+    la = result.partition
     if not result:
         raise ValueError(f"S^{la} is not irreducible at p={p}")
     j = result.regular_runner if not is_p_restricted(la, p) else None
@@ -183,9 +185,7 @@ def irreducible_specht_preimage(mu, p: int):
     S^nu irreducible; None if there is none.  mu itself is tried first, then
     the others in block-enumeration order.  The answer is memoised per
     (mu, p) in a bounded cache."""
-    mu = check_partition(mu)
-    if not is_p_regular(mu, p):
-        raise ValueError(f"{mu} is not {p}-regular")
+    mu = check_regular(mu, p)
     if p <= 2:
         raise ValueError("the irreducibility criterion needs p > 2")
     return _preimage(mu, p)
@@ -204,14 +204,12 @@ def _preimage(mu, p):
 def theorem_b_applicable(la, p: int):
     """First (i, nu) with nu an irreducible-Specht preimage of e~_i^{eps_i} la;
     None when no residue works."""
-    la = check_partition(la)
     if p <= 2:
         raise ValueError("needs p > 2")
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
+    la = check_regular(la, p)
     for i in range(p):
-        mu = e_tilde(la, p, i, signature(la, p, i).epsilon)
-        nu = irreducible_specht_preimage(mu, p)
+        sig = signature(la, p, i)
+        nu = irreducible_specht_preimage(remove_normals(sig, sig.epsilon), p)
         if nu is not None:
             return i, nu
     return None

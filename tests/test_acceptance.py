@@ -17,7 +17,6 @@ from selfext.signatures import (
     phi,
     signature,
 )
-from selfext.specht import specht_irreducible
 from selfext.tables import derive_table1, derive_table2
 
 import oracles

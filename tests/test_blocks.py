@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from selfext import blocks
 from selfext.abacus import core_and_weight
 from selfext.blocks import BlockId, block_of, enumerate_block, is_rock_block, is_rouquier
 from selfext.partitions import is_p_regular, partitions_of
@@ -123,3 +124,24 @@ def test_is_rock_block_examples():
 def test_is_rock_block_rejects_singular():
     with pytest.raises(ValueError):
         is_rock_block((1, 1, 1), 3)
+
+
+def test_is_rock_block_computes_the_core_once(monkeypatch):
+    cases = ((9, 1, 1), (4, 2, 1), (10, 5, 4, 3, 1, 1))
+    expected = [is_rock_block(la, 3) for la in cases]
+    assert expected == [True, False, False]
+    calls = []
+
+    def counted(la, p):
+        calls.append(la)
+        return core_and_weight(la, p)
+
+    monkeypatch.setattr(blocks, "core_and_weight", counted)
+    assert [is_rock_block(la, 3) for la in cases] == expected
+    assert calls == list(cases)
+
+
+def test_block_id_keeps_the_normalised_core():
+    block = BlockId([1, 0], 2, 3)
+    assert block.core == (1,)
+    assert block == BlockId((1,), 2, 3) == block_of((4, 2, 1), 3)

@@ -285,3 +285,22 @@ def test_validate_requires_exact_params():
                 {**params, "extra": 0}):
         assert not validate(Certificate(c.p, c.start, c.steps,
                                         Rule("T-SPECHT", bad), c.status))
+
+
+@pytest.mark.parametrize("p", [4, 9])
+def test_non_prime_p_is_refused(p):
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        certify((5, 3, 1), p)
+    for terminal in ("T-WEIGHT", "T-HEIGHT"):
+        cert = Certificate(p, (5, 3, 1), (), Rule(terminal), "CERTIFIED")
+        assert not validate(cert)
+        assert validate(Certificate(5, (5, 3, 1), (), Rule(terminal),
+                                    "CERTIFIED"))
+
+
+def test_huge_p_is_refused_before_trial_division():
+    huge = 2 ** 61 - 1  # a prime; trial division would take minutes
+    with pytest.raises(ValueError, match="p must be at most"):
+        certify((5, 3, 1), huge)
+    assert not validate(Certificate(huge, (5, 3, 1), (), Rule("T-SMALL"),
+                                    "CERTIFIED"))

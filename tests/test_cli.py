@@ -4,9 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
-
-import pytest
 
 import selfext
 from selfext import cli, tables
@@ -94,6 +93,15 @@ def test_certify_usage_errors(capsys):
         code, _, err = capture(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+def test_huge_p_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = capture(capsys, ["certify", "3,1",
+                                    "--p", str(2 ** 61 - 1)])
+    assert code == 2
+    assert err.startswith("error: p must be at most")
+    assert time.perf_counter() - start < 5
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

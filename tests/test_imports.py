@@ -1,6 +1,7 @@
-"""Guards on the library's names: every name a module imports is read in
-it, every top-level definition is used or exported, and every function the
-benchmark tracer wraps exists."""
+"""Guards on the library's names: every name a module (or test module)
+imports is read in it, every top-level definition is used or exported, only
+exported functions validate partitions, and every function the benchmark
+tracer wraps exists."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import selfext
 PACKAGE = Path(selfext.__file__).parent
 SOURCES = sorted(p for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")  # __init__ re-exports
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -33,8 +35,9 @@ def unused_imports(source: str) -> list:
 
 
 def test_no_unused_imports():
-    assert len(SOURCES) >= 10
-    found = {p.name: unused_imports(p.read_text()) for p in SOURCES}
+    assert len(SOURCES) >= 10 and len(TESTS) >= 10
+    found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text())
+             for p in SOURCES + TESTS}
     assert {k: v for k, v in found.items() if v} == {}
 
 
@@ -63,12 +66,16 @@ def read_names(node, skip=None) -> set:
     return names
 
 
+def exported_names(trees: dict) -> set:
+    return {alias.asname or alias.name
+            for node in ast.walk(trees["__init__.py"])
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def unused_definitions(trees: dict) -> list:
     """(module, name) of each top-level function or class that no module
     reads outside its own definition and __init__.py does not import."""
-    exported = {alias.asname or alias.name
-                for node in ast.walk(trees["__init__.py"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = exported_names(trees)
     out = []
     for module, tree in sorted(trees.items()):
         if module in ("__init__.py", "__main__.py"):
@@ -97,6 +104,57 @@ def test_definition_guard_flags_a_test_only_helper():
         "b.py": ast.parse("class Spare:\n    pass\n"),
     }
     assert unused_definitions(trees) == [("a.py", "orphan"), ("b.py", "Spare")]
+
+
+CHECKS = {"check_partition", "check_regular"}
+
+
+def unexported_checks(trees: dict) -> list:
+    """(module, function) of each function, method or module-level statement
+    that calls check_partition or check_regular although __init__.py does
+    not export it.  Dataclass __post_init__, parse_* and decode_config take
+    user data and may check it."""
+    exported = exported_names(trees)
+    out = []
+    for module, tree in sorted(trees.items()):
+        for top in tree.body:
+            units = [top]
+            if isinstance(top, ast.ClassDef):
+                units = [node for node in top.body
+                         if isinstance(node, ast.FunctionDef)]
+            for unit in units:
+                name = getattr(unit, "name", "<module>")
+                if (name in exported or name == "__post_init__"
+                        or name.startswith("parse_")
+                        or name == "decode_config"):
+                    continue
+                called = {node.func.id for node in ast.walk(unit)
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)}
+                if called & CHECKS:
+                    out.append((module, name))
+    return out
+
+
+def test_only_exported_functions_validate_partitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert unexported_checks(trees) == []
+
+
+def test_boundary_guard_flags_a_checking_helper():
+    trees = {
+        "__init__.py": ast.parse("from .a import public\n"),
+        "a.py": ast.parse(
+            "def public(la):\n    return helper(check_partition(la))\n"
+            "def helper(la):\n    return check_regular(la, 3)\n"
+            "class Config:\n"
+            "    def __post_init__(self):\n        check_partition(())\n"
+            "    def scale(self):\n        return check_partition(())\n"
+            "def parse_word(text):\n    return check_partition(text)\n"
+            "TABLE = {1: lambda la: check_partition(la)}\n"),
+    }
+    assert unexported_checks(trees) == [("a.py", "helper"), ("a.py", "scale"),
+                                        ("a.py", "<module>")]
 
 
 def test_every_tracer_target_resolves():

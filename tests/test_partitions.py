@@ -1,7 +1,5 @@
 """Tests for basic partition combinatorics."""
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +7,10 @@ import oracles
 from selfext.partitions import (
     addable_nodes,
     add_node,
+    MAX_SIZE,
     check_partition,
+    check_prime,
+    check_regular,
     dominates,
     format_partition,
     is_p_regular,
@@ -192,3 +193,21 @@ def test_dominance_partial_order_on_small_sizes():
                 for nu in las:
                     if dominates(la, mu) and dominates(mu, nu):
                         assert dominates(la, nu)
+
+
+def test_check_regular_normalises_and_rejects_singular():
+    assert check_regular([4, 2, 1, 0], 3) == (4, 2, 1)
+    with pytest.raises(ValueError, match=r"^\(2, 1, 1, 1\) is not 3-regular$"):
+        check_regular((2, 1, 1, 1), 3)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        check_regular((1, 2), 3)
+
+
+def test_check_prime():
+    for p in (2, 3, 5, 7, 29, 99991):
+        assert check_prime(p) == p
+    for p in (-3, 0, 1, 4, 9, 91):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            check_prime(p)
+    with pytest.raises(ValueError, match=f"p must be at most {MAX_SIZE}"):
+        check_prime(100003)  # prime, but past the bound

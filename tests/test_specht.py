@@ -1,8 +1,11 @@
 """Tests for Specht-module irreducibility and preimages under regularization."""
 
+import inspect
+
 import pytest
 
 import oracles
+import selfext
 from selfext.abacus import (beta_set, component_from_rows, core_and_weight,
                             display, quotient)
 from selfext.bijections import regularize
@@ -191,16 +194,59 @@ def test_preimage_cache_is_bounded():
     assert _preimage.cache_info().maxsize == 65536
 
 
-def test_public_functions_check_their_input():
+# Every exported function that takes a partition, with the rest of its
+# arguments.  is_p_regular and is_p_restricted are left out: they are the
+# predicates the library applies to its own tuples in its inner loops, and
+# take a tuple as check_partition returns it.
+BOUNDARY_CASES = [
+    (selfext.check_partition, (4, 2, 1), ()),
+    (selfext.check_regular, (4, 2, 1), (3,)),
+    (selfext.dominates, (4, 2, 1), ((3, 3, 1),)),
+    (selfext.format_partition, (4, 2, 2, 1), ()),
+    (selfext.transpose, (4, 2, 1), ()),
+    (selfext.beta_set, (4, 2, 1), (5,)),
+    (selfext.display, (4, 2, 1), (3,)),
+    (selfext.core_and_weight, (4, 2, 1), (3,)),
+    (selfext.signature, (4, 2, 1), (3, 0)),
+    (selfext.epsilon, (4, 2, 1), (3, 0)),
+    (selfext.phi, (4, 2, 1), (3, 1)),
+    (selfext.e_tilde, (4, 2, 1), (3, 0)),
+    (selfext.f_tilde, (4, 2, 1), (3, 1)),
+    (selfext.is_difficult, (4, 2, 1), (3, 0)),
+    (selfext.reflections, (4, 2, 1), (3,)),
+    (selfext.mullineux, (4, 2, 1), (3,)),
+    (selfext.regularize, (2, 1, 1, 1), (3,)),
+    (selfext.block_of, (4, 2, 1), (3,)),
+    (selfext.is_rock_block, (4, 2, 1), (3,)),
+    (selfext.is_rouquier, (3, 1), (3, 2)),
+    (selfext.specht_irreducible, (3, 1), (3,)),
+    (selfext.special_runners, (4, 1, 1, 1), (3,)),
+    (selfext.irreducible_specht_preimage, (2, 1), (3,)),
+    (selfext.theorem_b_applicable, (4, 2, 1), (3,)),
+    (selfext.certify, (4, 2, 1), (3,)),
+    (selfext.trick1_targets, (4, 2, 1), (3,)),
+    (selfext.trick2_targets, (4, 2, 1), (3,)),
+]
+
+
+@pytest.mark.parametrize("func,la,rest", BOUNDARY_CASES,
+                         ids=[case[0].__name__ for case in BOUNDARY_CASES])
+def test_public_functions_check_their_input(func, la, rest):
     for bad in ((1, 2), (1, -1)):
-        for func in (specht_irreducible, irreducible_specht_preimage,
-                     theorem_b_applicable):
-            with pytest.raises(ValueError):
-                func(bad, 3)
-    assert specht_irreducible([3, 1, 0], 3) == specht_irreducible((3, 1), 3)
-    assert specht_irreducible([3, 1, 0], 3).partition == (3, 1)
-    assert irreducible_specht_preimage([2, 1, 0], 3) == (1, 1, 1)
-    assert theorem_b_applicable([4, 2, 1, 0], 3) == (0, (3, 1, 1))
+        with pytest.raises(ValueError):
+            func(bad, *rest)
+    assert func([*la, 0], *rest) == func(la, *rest)
+
+
+def test_boundary_cases_cover_every_partition_function():
+    takes_partition = {
+        name for name in dir(selfext)
+        if inspect.isfunction(getattr(selfext, name))
+        and next(iter(inspect.signature(getattr(selfext, name)).parameters),
+                 None) in ("la", "mu", "rho")}
+    covered = {case[0].__name__ for case in BOUNDARY_CASES}
+    assert takes_partition - covered == {"is_p_regular", "is_p_restricted"}
+    assert covered <= takes_partition
 
 
 def test_preimage_rejects_singular():
