@@ -6,6 +6,7 @@ Position 0 is always kept occupied (pass to N + p beads when it is not).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .partitions import check_partition, height, parse_partition
@@ -106,15 +107,17 @@ def quotient(gamma: AbacusDisplay) -> RunnerStats:
 
 
 def core_and_weight(la, p: int) -> tuple:
-    """(p-core, weight): push every bead maximally up its runner, count moves."""
-    gamma = display(la, p)
-    moves = 0
-    occ = set()
-    for j, rows in enumerate(bead_rows(gamma.occupied, p)):
-        moves += sum(row - t for t, row in enumerate(rows))
-        occ.update(j + p * t for t in range(len(rows)))
-    core = decode(AbacusDisplay(p, gamma.beads, frozenset(occ)))
-    return core, moves
+    """(p-core, weight) from the h + 1 beta-numbers of la, lowest first: the
+    bead at q moves up its runner past the count[q % p] beads already on it."""
+    la = check_partition(la)
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    count, moves = [0] * p, 0
+    for q in (0, *map(operator.add, reversed(la), range(1, len(la) + 1))):
+        moves += q // p - count[q % p]
+        count[q % p] += 1
+    core = [j + p * t for j in range(p) for t in range(count[j])]  # pushed up
+    return component_from_rows(core), moves
 
 
 def decode_config(cfg, p: int) -> tuple:

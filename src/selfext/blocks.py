@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .partitions import (check_partition, check_regular, height,
                          is_p_regular, partitions_of)
-from .abacus import (AbacusDisplay, bead_rows, core_and_weight, decode,
+from .abacus import (bead_rows, component_from_rows, core_and_weight,
                      display, rows_for_component)
 
 
@@ -53,16 +53,12 @@ def enumerate_block(b: BlockId, regular_only: bool = False) -> list:
     """All partitions with the given core and weight, by distributing the
     weight over the runners of the core's display as quotient components."""
     p, d = b.p, b.weight
-    base = display(b.core, p)
-    beads = base.beads + p * (d + 1)  # extra full rows keep position 0 occupied
+    base = display(b.core, p)  # + d + 1 full rows: position 0 stays occupied
     counts = [len(rows) + d + 1 for rows in bead_rows(base.occupied, p)]
     out = []
     for multi in _multipartitions(d, p):
-        occ = set()
-        for j in range(p):
-            for row in rows_for_component(multi[j], counts[j]):
-                occ.add(j + p * row)
-        la = decode(AbacusDisplay(p, beads, frozenset(occ)))
+        la = component_from_rows([j + p * row for j in range(p) for row
+                                  in rows_for_component(multi[j], counts[j])])
         if not regular_only or is_p_regular(la, p):
             out.append(la)
     return out

@@ -88,10 +88,10 @@ def format_partition(la) -> str:
 
 
 def is_p_regular(la, p: int) -> bool:
-    """True iff no positive part value occurs p or more times."""
+    """True iff no part occurs p or more times: no la[k] == la[k + p - 1]."""
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    return all(len(list(g)) < p for _, g in itertools.groupby(la))
+    return not any(map(operator.eq, la, la[p - 1:]))
 
 
 def check_regular(la, p: int) -> tuple:

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .partitions import (check_partition, check_regular, is_p_regular,
                          is_p_restricted)
-from .abacus import bead_rows, core_and_weight, display
+from .abacus import bead_rows, core_and_weight
 from .bijections import ladder_counts
 from .signatures import remove_normals, signature
 
@@ -170,9 +170,9 @@ def _ladder_preimage(mu, p: int) -> list:
                 need[r + (p - 1) * k] += 1
             stack.pop()
 
-    # enumerate_block's display: the core's, plus p*(d+1) beads
+    # enumerate_block's display: the core's (h + 1 beads), plus p*(d+1) beads
     core, d = core_and_weight(mu, p)
-    beads = display(core, p).beads + p * (d + 1)
+    beads = len(core) + 1 + p * (d + 1)
 
     def quotient_key(nu):
         return tuple((sum(c), c) for c in _runner_data(nu, beads, p)[2])

@@ -40,6 +40,11 @@ def partitions_of(n, max_part=None):
             yield (first,) + rest
 
 
+def groupby_p_regular(la, p):
+    """No part value repeated p or more times, counted run by run."""
+    return all(len(list(g)) < p for _, g in itertools.groupby(la))
+
+
 def conjugate(la):
     """Transpose of the Young diagram."""
     if not la:

@@ -101,8 +101,16 @@ def test_core_and_weight_examples():
 def test_core_and_weight_matches_rim_hook_oracle():
     for n in range(13):
         for la in partitions_of(n):
-            for p in (3, 5, 7):
-                assert core_and_weight(la, p) == oracles.rim_core_and_weight(la, p)
+            for p in (2, 3, 5, 7, 11):
+                expected = oracles.rim_core_and_weight(la, p)
+                assert core_and_weight(la, p) == expected
+                assert core_and_weight(list(la) + [0, 0], p) == expected
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_core_and_weight_rejects_p_below_two(p):
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        core_and_weight((4, 2, 1), p)
 
 
 def test_component_rows_round_trip():

@@ -85,6 +85,13 @@ def test_is_p_regular_examples():
     assert is_p_regular((6, 2, 1, 1, 1), 5)
 
 
+def test_is_p_regular_matches_groupby_oracle():
+    for n in range(21):
+        for la in partitions_of(n):
+            for p in range(2, 8):
+                assert is_p_regular(la, p) == oracles.groupby_p_regular(la, p)
+
+
 def test_is_p_restricted_examples():
     assert is_p_restricted((4, 2, 1), 3)
     assert not is_p_restricted((4, 1), 3)
