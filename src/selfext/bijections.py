@@ -56,55 +56,39 @@ def p_rim_symbol(la, p: int):
 def add_p_rim(mu, p: int, a: int, s: int):
     """The unique partition of height s whose p-rim has size a and peels to mu.
 
-    Searches over segment-end rows; every candidate is checked by re-peeling.
+    The rim's m = ceil(a/p) segments hold p nodes each, the last one the rest.
+    A segment of c nodes in rows b..e peels to mu exactly when its rows are
+    la_b = c - (e - b) + mu_e and la_r = mu_{r-1} + 1 for b < r <= e, so the
+    rows follow from the segment ends.  la_b falls strictly as e grows, which
+    bounds the search over the ends.
     """
     m = (a + p - 1) // p
     if m == 0 or s < m:
         raise ValueError(f"no partition adds a p-rim of size {a} at height {s}")
-    counts = [p] * (m - 1) + [a - p * (m - 1)]
-
-    def mu_part(r):  # 1-based
-        return mu[r - 1] if r - 1 < len(mu) else 0
-
+    last = a - p * (m - 1)
+    row = (0,) + tuple(mu) + (0,) * (s + 1 - len(mu))    # row[r] = mu_r
     solutions = []
-
-    def build(ends):
-        parts = [None] * s
-        starts = [1] + [e + 1 for e in ends[:-1]]
-        for b, e, c in zip(starts, ends, counts):
-            for r in range(b + 1, e + 1):
-                parts[r - 1] = mu_part(r - 1) + 1
-            parts[b - 1] = c - (e - b) + mu_part(e)
-        if any(x is None or x <= 0 for x in parts):
-            return
-        for k in range(s - 1):
-            if parts[k] < parts[k + 1]:
-                return
-        cand = tuple(parts)
-        peeled, rim = peel_p_rim(cand, p)
-        if peeled == mu and rim == a and height(cand) == s:
-            solutions.append(cand)
-
-    def search(k, prev_end):
-        if k == m:
-            build(search.ends[:])
-            return
-        start = prev_end + 1
-        last = s if k == m - 1 else s - 1
-        for e in range(start, min(start + counts[k] - 1, last) + 1):
-            if k == m - 1 and e != s:
-                continue
-            search.ends.append(e)
-            search(k + 1, e)
-            search.ends.pop()
-
-    search.ends = []
-    search(0, 0)
-    solutions = sorted(set(solutions))
-    if not solutions:
-        raise ValueError(f"no partition adds a p-rim ({a},{s}) to {mu}")
-    if len(solutions) > 1:
-        raise RuntimeError(f"p-rim addition not unique on {mu}: {solutions}")
+    # mu fits in s rows, and a short last segment runs off the bottom, so it
+    # takes all of row s
+    if row[s + 1] == 0 and (last == p or row[s] == 0):
+        stack = [(1, 1, ())]    # (segment, its first row, the rows above it)
+        while stack:
+            k, b, rows = stack.pop()
+            c = p if k < m else last
+            for e in range(b, min(b + c - 1, s - 1) + 1) if k < m else (s,):
+                top = c - (e - b) + row[e]
+                if top < 1 or (e > b and top <= row[b]):
+                    break
+                if b > 1 and top > row[b - 1] + 1:
+                    continue    # the previous segment would not end at b - 1
+                grown = rows + (top,) + tuple(x + 1 for x in row[b:e])
+                if e == s:
+                    solutions.append(grown)
+                else:
+                    stack.append((k + 1, e + 1, grown))
+    if len(solutions) != 1:
+        raise RuntimeError(f"p-rim addition not unique on {mu} "
+                           f"({a}, {s}): {solutions}")
     return solutions[0]
 
 

@@ -85,15 +85,18 @@ def _params_in(params: dict) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    """Rebuild a Certificate from its to_dict form."""
-    steps = tuple(Step(Rule(s["rule"], _params_in(s["params"])),
-                       tuple(s["from"]), tuple(s["to"]))
-                  for s in data["steps"])
-    terminal = data["terminal"]
-    if terminal is not None:
-        terminal = Rule(terminal["rule"], _params_in(terminal["params"]))
-    return Certificate(data["p"], tuple(data["start"]), steps, terminal,
-                       data["status"])
+    """Rebuild a Certificate from its to_dict form; ValueError if malformed."""
+    try:
+        steps = tuple(Step(Rule(s["rule"], _params_in(s["params"])),
+                           tuple(s["from"]), tuple(s["to"]))
+                      for s in data["steps"])
+        terminal = data["terminal"]
+        if terminal is not None:
+            terminal = Rule(terminal["rule"], _params_in(terminal["params"]))
+        return Certificate(data["p"], tuple(data["start"]), steps, terminal,
+                           data["status"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed certificate: {exc!r}") from exc
 
 
 def _normalize_rules(enabled_rules) -> frozenset:

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .partitions import (check_partition, check_regular, is_p_regular,
                          is_p_restricted)
-from .abacus import bead_rows, core_and_weight
+from .abacus import bead_rows
 from .bijections import ladder_counts
 from .signatures import remove_normals, signature
 
@@ -119,13 +119,16 @@ def special_runners(la, p: int):
 
 
 def _ladder_preimage(mu, p: int) -> list:
-    """Every nu with nu^R = mu, in the order enumerate_block lists mu's block.
+    """Every nu with nu^R = mu, in the order the search meets them.
 
     Regularization keeps ladder counts, so these are the partitions with mu's
-    ladder counts.  They are built row by row, depth first on an explicit
-    stack (so a member may have any number of rows), and a branch is dropped
-    when a ladder would overflow, when row r leaves ladder r (final from then
-    on) short, or when the farthest ladder still short is out of reach.
+    ladder counts.  For p > 2 at most one of them labels an irreducible
+    Specht module (that S^nu is D^{nu^R}, and Specht modules are pairwise
+    non-isomorphic), so their order does not matter.  They are built row by
+    row, depth first on an explicit stack (so a member may have any number of
+    rows), and a branch is dropped when a ladder would overflow, when row r
+    leaves ladder r (final from then on) short, or when the farthest ladder
+    still short is out of reach.
     """
     counts = ladder_counts(mu, p)
     top = max(counts, default=0)
@@ -170,21 +173,13 @@ def _ladder_preimage(mu, p: int) -> list:
                 need[r + (p - 1) * k] += 1
             stack.pop()
 
-    # enumerate_block's display: the core's (h + 1 beads), plus p*(d+1) beads
-    core, d = core_and_weight(mu, p)
-    beads = len(core) + 1 + p * (d + 1)
-
-    def quotient_key(nu):
-        return tuple((sum(c), c) for c in _runner_data(nu, beads, p)[2])
-
-    return sorted(found, key=quotient_key, reverse=True)
+    return found
 
 
 def irreducible_specht_preimage(mu, p: int):
     """A partition nu with nu^R = mu (that is, with mu's ladder counts) and
-    S^nu irreducible; None if there is none.  mu itself is tried first, then
-    the others in block-enumeration order.  The answer is memoised per
-    (mu, p) in a bounded cache."""
+    S^nu irreducible; None if there is none.  Such a nu is unique for p > 2.
+    The answer is memoised per (mu, p) in a bounded cache."""
     mu = check_regular(mu, p)
     if p <= 2:
         raise ValueError("the irreducibility criterion needs p > 2")
@@ -193,12 +188,8 @@ def irreducible_specht_preimage(mu, p: int):
 
 @lru_cache(maxsize=65536)
 def _preimage(mu, p):
-    if specht_irreducible(mu, p):
-        return mu
-    for nu in _ladder_preimage(mu, p):
-        if nu != mu and specht_irreducible(nu, p):
-            return nu
-    return None
+    return next((nu for nu in _ladder_preimage(mu, p)
+                 if specht_irreducible(nu, p)), None)
 
 
 def theorem_b_applicable(la, p: int):

@@ -6,21 +6,23 @@ abacus/signature machinery under test.  The exceptions are the searches and
 cross-checks the library no longer carries, kept to check it:
 block_scan_preimage, the block scan behind the ladder preimage (its
 enumerate_block and regularize are themselves checked against the oracles
-here); table1_by_local_signature, the Table I loop that judged every
-candidate by its full local signature; and, on top of selfext.signature,
-difficult_abacus_check (the abacus form of difficulty),
-node_adjacency_checks (singularity of normal/conormal moves against node
-steps) and add_all_addable (adding every i-addable node at once).
+here); add_p_rim_by_search, the p-rim addition that tried every choice of
+segment ends and re-peeled each candidate; table1_by_local_signature, the
+Table I loop that judged every candidate by its full local signature; and,
+on top of selfext.signature, difficult_abacus_check (the abacus form of
+difficulty), node_adjacency_checks (singularity of normal/conormal moves
+against node steps), add_all_addable (adding every i-addable node at once)
+and crystal_mullineux (the Mullineux map along good nodes).
 """
 
 import itertools
 
 from selfext.abacus import display
-from selfext.bijections import regularize
+from selfext.bijections import peel_p_rim, regularize
 from selfext.blocks import block_of, enumerate_block
-from selfext.partitions import (add_node, addable_nodes, is_p_regular,
+from selfext.partitions import (add_node, addable_nodes, height, is_p_regular,
                                 node_residue, remove_node)
-from selfext.signatures import signature
+from selfext.signatures import e_tilde, epsilon, f_tilde, signature
 from selfext.tables import RunnerPairConfig, locally_difficult
 
 
@@ -297,6 +299,78 @@ def add_all_addable(la, p, i):
     for node in addable_nodes(la):
         if node_residue(node, p) == i % p:
             la = add_node(la, node)
+    return la
+
+
+# ---------------------------------------------------------------------------
+# the Mullineux map: p-rims by search, and crystals
+
+
+def add_p_rim_by_search(mu, p: int, a: int, s: int):
+    """The unique partition of height s whose p-rim has size a and peels to mu.
+
+    Searches over segment-end rows; every candidate is checked by re-peeling.
+    """
+    m = (a + p - 1) // p
+    if m == 0 or s < m:
+        raise ValueError(f"no partition adds a p-rim of size {a} at height {s}")
+    counts = [p] * (m - 1) + [a - p * (m - 1)]
+
+    def mu_part(r):  # 1-based
+        return mu[r - 1] if r - 1 < len(mu) else 0
+
+    solutions = []
+
+    def build(ends):
+        parts = [None] * s
+        starts = [1] + [e + 1 for e in ends[:-1]]
+        for b, e, c in zip(starts, ends, counts):
+            for r in range(b + 1, e + 1):
+                parts[r - 1] = mu_part(r - 1) + 1
+            parts[b - 1] = c - (e - b) + mu_part(e)
+        if any(x is None or x <= 0 for x in parts):
+            return
+        for k in range(s - 1):
+            if parts[k] < parts[k + 1]:
+                return
+        cand = tuple(parts)
+        peeled, rim = peel_p_rim(cand, p)
+        if peeled == mu and rim == a and height(cand) == s:
+            solutions.append(cand)
+
+    def search(k, prev_end):
+        if k == m:
+            build(search.ends[:])
+            return
+        start = prev_end + 1
+        last = s if k == m - 1 else s - 1
+        for e in range(start, min(start + counts[k] - 1, last) + 1):
+            if k == m - 1 and e != s:
+                continue
+            search.ends.append(e)
+            search(k + 1, e)
+            search.ends.pop()
+
+    search.ends = []
+    search(0, 0)
+    solutions = sorted(set(solutions))
+    if not solutions:
+        raise ValueError(f"no partition adds a p-rim ({a},{s}) to {mu}")
+    if len(solutions) > 1:
+        raise RuntimeError(f"p-rim addition not unique on {mu}: {solutions}")
+    return solutions[0]
+
+
+def crystal_mullineux(la, p):
+    """M(la) by crystals (Ford-Kleshchev): if la = f~_{i_1} ... f~_{i_n} of
+    the empty partition, then M(la) = f~_{-i_1} ... f~_{-i_n} of it."""
+    path = []
+    while la:
+        i = next(i for i in range(p) if epsilon(la, p, i))
+        la = e_tilde(la, p, i)
+        path.append(i)
+    for i in reversed(path):
+        la = f_tilde(la, p, -i % p)
     return la
 
 

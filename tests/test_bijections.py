@@ -1,5 +1,7 @@
 """Tests for the Mullineux involution and ladder regularization."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from selfext.abacus import (
     quotient,
 )
 from selfext.bijections import (
+    add_p_rim,
     ladder_counts,
     mullineux,
     p_rim_symbol,
@@ -93,6 +96,66 @@ def test_mullineux_first_row_on_fixed_top_shapes():
                 c = sum(1 for part in la if part == la[0])
                 assert mullineux(la, p)[0] == a * (p - 1) + c
     assert seen >= 25
+
+
+def test_add_p_rim_matches_search():
+    # every column (a, s) that mullineux builds, against the old search
+    checked = 0
+    for p, nmax in ((3, 20), (5, 18), (7, 16)):
+        for n in range(nmax + 1):
+            for la in partitions_of(n):
+                if not is_p_regular(la, p):
+                    continue
+                checked += 1
+                out = ()
+                for a, r in reversed(p_rim_symbol(la, p)):
+                    s = a - r + (0 if a % p == 0 else 1)
+                    grown = add_p_rim(out, p, a, s)
+                    assert grown == oracles.add_p_rim_by_search(out, p, a, s), (la, p)
+                    out = grown
+                assert out == mullineux(la, p)
+    assert checked == 2984
+
+
+def test_add_p_rim_matches_search_on_every_small_column():
+    # any mu, solvable or not: the same image, or no image from either
+    solvable = 0
+    for p in (2, 3, 5):
+        for n in range(8):
+            for mu in partitions_of(n):
+                for a in range(1, 9):
+                    for s in range(1, 9):
+                        try:
+                            expected = oracles.add_p_rim_by_search(mu, p, a, s)
+                        except ValueError:
+                            with pytest.raises((ValueError, RuntimeError)):
+                                add_p_rim(mu, p, a, s)
+                            continue
+                        solvable += 1
+                        assert add_p_rim(mu, p, a, s) == expected, (mu, p, a, s)
+    assert solvable == 995
+    with pytest.raises(RuntimeError, match="not unique"):
+        add_p_rim((1,), 3, 2, 1)    # a short last segment must take all of row s
+
+
+def test_mullineux_matches_crystals():
+    checked = 0
+    for p, nmax in ((3, 16), (5, 14), (7, 13)):
+        for n in range(nmax + 1):
+            for la in partitions_of(n):
+                if is_p_regular(la, p):
+                    checked += 1
+                    assert mullineux(la, p) == oracles.crystal_mullineux(la, p), (la, p)
+    assert checked == 1147
+
+
+def test_mullineux_on_a_long_staircase():
+    # the segment-end search once grew exponentially with the height here
+    la = tuple(range(60, 0, -1))
+    start = time.perf_counter()
+    mu = mullineux(la, 3)
+    assert time.perf_counter() - start < 2
+    assert mullineux(mu, 3) == la
 
 
 def test_ladder_counts_example():

@@ -261,6 +261,26 @@ def test_certificate_json_round_trip():
     assert validate(again)
 
 
+def test_certificate_from_dict_rejects_malformed_input():
+    good = {"p": 3, "start": [4, 1],
+            "steps": [{"rule": "R-TRICK1", "params": {"i": 0},
+                       "from": [4, 1], "to": [3, 1]}],
+            "terminal": {"rule": "T-SMALL", "params": {}},
+            "status": "CERTIFIED"}
+    assert certificate_from_dict(good).steps[0].rule.params == {"i": 0}
+    step = good["steps"][0]
+    malformed = [
+        {**good, "steps": [{**step, "params": [1]}]},
+        {k: v for k, v in good.items() if k != "steps"},
+        {**good, "start": 5},
+        {**good, "terminal": {"rule": "T-SMALL", "params": None}},
+        [good],
+    ]
+    for data in malformed:
+        with pytest.raises(ValueError, match="malformed certificate"):
+            certificate_from_dict(data)
+
+
 def test_validate_requires_exact_params():
     c = certify((4, 1), 3, enabled_rules={"T-SMALL", "R-TRICK1", "R-REFLECT"})
     assert [s.rule.tag for s in c.steps] == ["R-TRICK1", "R-REFLECT"]

@@ -136,7 +136,8 @@ def test_ladder_preimage_matches_block_scan():
             for mu in partitions_of(n):
                 if is_p_regular(mu, p):
                     checked += 1
-                    assert _ladder_preimage(mu, p) == oracles.block_scan_preimage(mu, p)
+                    assert (sorted(_ladder_preimage(mu, p))
+                            == sorted(oracles.block_scan_preimage(mu, p)))
     assert checked == 1393
 
 
@@ -149,13 +150,27 @@ def test_ladder_preimage_on_a_weight_8_block():
     regular = [mu for mu in members if is_p_regular(mu, 3)]
     assert len(members) == 810 and sorted(scan) == sorted(regular)
     for mu in regular:
-        assert _ladder_preimage(mu, 3) == scan[mu], mu
+        assert sorted(_ladder_preimage(mu, 3)) == sorted(scan[mu]), mu
     assert oracles.block_scan_preimage((10, 5, 4, 3, 1, 1), 3) == scan[(10, 5, 4, 3, 1, 1)]
 
 
 def test_ladder_preimage_has_no_row_limit():
     # 1^1000 has more rows than the default recursion limit allows frames
-    assert _ladder_preimage((500, 500), 3) == [(500, 500), (1,) * 1000]
+    assert sorted(_ladder_preimage((500, 500), 3)) == [(1,) * 1000, (500, 500)]
+
+
+def test_irreducible_specht_labels_have_distinct_regularizations():
+    # the fact that lets _preimage take the first irreducible member of a
+    # ladder class: for p > 2 no two irreducible S^nu share nu^R
+    seen = {}
+    for p, nmax in ((3, 16), (5, 15), (7, 14)):
+        for n in range(nmax + 1):
+            for nu in partitions_of(n):
+                if oracles.jm_irreducible(nu, p):
+                    key = (regularize(nu, p), p)
+                    assert key not in seen, (nu, seen.get(key))
+                    seen[key] = nu
+    assert len(seen) == 713
 
 
 def test_specht_cache_is_bounded():
