@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .partitions import (add_node, check_partition, check_prime,
+from .partitions import (MAX_SIZE, add_node, check_partition, check_prime,
                          check_regular, height, is_p_regular, remove_node,
                          size)
 from .abacus import core_and_weight
@@ -234,11 +234,14 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     twin, before any expansion; the visited set holds both members of every
     discovered pair, so each twin is computed once, and certificates never
     exceed max_steps steps.  Returns an UNKNOWN certificate with no steps
-    when the search space is exhausted.  p must be a prime above 2.
+    when the search space is exhausted.  p must be a prime above 2, and la
+    at most MAX_SIZE boxes.
     """
     if check_prime(p) == 2:
         raise ValueError("the rule engine needs p > 2")
     la = check_regular(la, p)
+    if size(la) > MAX_SIZE:
+        raise ValueError(f"partition exceeds {MAX_SIZE} boxes")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     rules = _normalize_rules(enabled_rules)
@@ -291,12 +294,12 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
 def _specht_witness_holds(params: dict, la, p: int) -> bool:
     """T-SPECHT replay by its witness alone: regularize(nu) is the residue's
     e~^eps image of la and S^nu is irreducible.  Re-running the search's
-    theorem_b_applicable would search the ladder preimage of every residue
-    up to the witness's."""
+    theorem_b_applicable would build the irreducible-Specht index of the
+    block of every residue's image up to the witness's."""
     if set(params) != {"residue", "witness"}:
         return False
     i, nu = params["residue"], tuple(params["witness"])
-    if i not in range(p):
+    if i not in range(p) or size(nu) > MAX_SIZE:
         return False
     sig = signature(la, p, i)
     return (regularize(nu, p) == remove_normals(sig, sig.epsilon)
@@ -305,14 +308,18 @@ def _specht_witness_holds(params: dict, la, p: int) -> bool:
 
 def validate(cert: Certificate) -> bool:
     """True iff cert is a complete proof: a prime p > 2, CERTIFIED status,
-    every step linked, acyclic and among the edges its rule generates from
-    its source (exactly those params), and the terminal criterion holding for
-    the final partition with exactly the params the search would record."""
+    a start of at most MAX_SIZE boxes, every step linked, acyclic and among
+    the edges its rule generates from its source (exactly those params), and
+    the terminal criterion holding for the final partition with exactly the
+    params the search would record (a T-SPECHT witness of at most MAX_SIZE
+    boxes)."""
     try:
         p = check_prime(cert.p)
         if p == 2 or cert.status != "CERTIFIED" or cert.terminal is None:
             return False
         chain = [check_partition(cert.start)]
+        if size(chain[0]) > MAX_SIZE:
+            return False
         for step in cert.steps:
             la = chain[-1]
             if check_partition(step.source) != la or not is_p_regular(la, p):

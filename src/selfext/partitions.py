@@ -14,12 +14,15 @@ import operator
 Partition = tuple
 Node = tuple
 
-MAX_SIZE = 100_000  # the largest partition text size and p accepted
+MAX_SIZE = 100_000  # largest partition size (text, certify, validate) and p
 
 
 def check_partition(la) -> tuple:
     """Normalize to a tuple, dropping trailing zeros; raise on bad input."""
-    parts = tuple(map(int, la))
+    try:
+        parts = tuple(map(int, la))
+    except OverflowError:  # int(float("inf")); a NaN already gives ValueError
+        raise ValueError(f"parts must be finite: {la!r}") from None
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if parts and min(parts) <= 0:

@@ -1,14 +1,16 @@
 """Irreducibility of Specht modules via the abacus-runner recursion, and the
-search for irreducible Specht preimages under regularization."""
+same criterion run backwards to index irreducible Specht labels by their
+regularizations, one block at a time."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import (check_partition, check_regular, is_p_regular,
-                         is_p_restricted)
-from .abacus import bead_rows
-from .bijections import ladder_counts
+                         is_p_restricted, partitions_of)
+from .abacus import (bead_rows, component_from_rows, core_and_weight,
+                     rows_for_component)
+from .bijections import regularize
 from .signatures import remove_normals, signature
 
 
@@ -31,17 +33,11 @@ class SpechtResult:
 
 
 def _runner_data(la, beads, p):
-    """Beta-numbers (descending), bead rows and quotient components of la read
-    with beads >= len(la) beads.  la must be a normalised tuple: nothing here
-    re-checks it."""
-    beta = [part + beads - i for i, part in enumerate(la, 1)]
-    beta += range(beads - len(la) - 1, -1, -1)
+    """Beta-numbers, bead rows and quotient components of la read with
+    beads >= len(la) beads.  la must be a normalised tuple."""
+    beta = rows_for_component(la, beads)  # one runner's rows are beta-numbers
     rows = bead_rows(beta, p)
-    # the t-th lowest bead of a runner is its component's part from the
-    # bottom, r[t] - t; those rise weakly with t, so the zeros come first
-    comps = [tuple(r[t] - t for t in range(len(r) - 1, -1, -1) if r[t] > t)
-             for r in rows]
-    return beta, rows, comps
+    return beta, rows, [component_from_rows(r) for r in rows]
 
 
 def _condition_ii(beta, p, j, rows_j):
@@ -118,78 +114,60 @@ def special_runners(la, p: int):
     return j, k
 
 
-def _ladder_preimage(mu, p: int) -> list:
-    """Every nu with nu^R = mu, in the order the search meets them.
+@lru_cache(maxsize=1024)
+def _block_index(core, w, p):
+    """nu^R -> nu for every nu in the block (core, w) with S^nu irreducible.
 
-    Regularization keeps ladder counts, so these are the partitions with mu's
-    ladder counts.  For p > 2 at most one of them labels an irreducible
-    Specht module (that S^nu is D^{nu^R}, and Specht modules are pairwise
-    non-isomorphic), so their order does not matter.  They are built row by
-    row, depth first on an explicit stack (so a member may have any number of
-    rows), and a branch is dropped when a ladder would overflow, when row r
-    leaves ladder r (final from then on) short, or when the farthest ladder
-    still short is out of reach.
+    The criterion of _irreducible, read backwards: on a display with a run
+    of p bead counts from len(core) + p*w on (enough for every member, each
+    runner holding at least w beads; p more beads add a full row, which
+    changes neither the components nor conditions ii/iii), put an
+    irreducible p-regular label on runner j and an irreducible p-restricted
+    one on runner k, sizes adding up to w (one label on j = k), and keep the
+    partition when conditions ii/iii hold.  For p > 2 no two such nu share
+    nu^R: S^nu is D^{nu^R}, and Specht modules are pairwise non-isomorphic.
     """
-    counts = ladder_counts(mu, p)
-    top = max(counts, default=0)
-    # need[top + 1] stays 0, which ends the scan for `last` in reachable
-    need = [counts.get(ell, 0) for ell in range(top + 2)]
-    found = []
-    # one frame [r, longest, left, c] per open row: row r holds c nodes (their
-    # ladders already taken from need), at most longest, with left nodes
-    # still to place from row r on
-    stack = []
-
-    def reachable(r, longest):
-        # a later row r' exists only while ladder r' still needs its first
-        # node, and the farthest ladder still short needs a node in one of
-        # those rows at a column <= longest
-        last = r
-        while need[last + 1]:
-            last += 1
-        far = top
-        while far > r and not need[far]:
-            far -= 1
-        return far - (p - 1) * (longest - 1) <= last
-
-    def open_row(r, longest, left):
-        if left == 0:
-            found.append(tuple(frame[3] for frame in stack))
-        elif need[r] == 1:
-            stack.append([r, longest, left, 0])
-
-    open_row(1, top, sum(mu))
-    while stack:
-        frame = stack[-1]
-        r, longest, left, c = frame
-        ell = r + (p - 1) * c    # the ladder of node (r, c + 1)
-        if c < longest and ell <= top and need[ell]:
-            need[ell] -= 1
-            frame[3] = c = c + 1
-            if reachable(r, c):
-                open_row(r + 1, c, left - c)
-        else:
-            for k in range(c):
-                need[r + (p - 1) * k] += 1
-            stack.pop()
-
-    return found
+    labels = [[la for la in partitions_of(v) if _irreducible(la, p)]
+              for v in range(w + 1)]
+    regular = [[a for a in row if is_p_regular(a, p)] for row in labels]
+    restricted = [[b for b in row if is_p_restricted(b, p)] for row in labels]
+    pairs = [(a, b) for v in range(w + 1)
+             for a in regular[v] for b in restricted[w - v]]
+    single = [a for a in regular[w] if is_p_restricted(a, p)]
+    found = set()
+    low = len(core) + p * w
+    for beads in range(low, low + p):
+        base = bead_rows(rows_for_component(core, beads), p)
+        placed = [{la: rows_for_component(la, len(r)) for row in labels
+                   for la in row} for r in base]
+        for j in range(p):
+            for k in range(p):
+                for alpha, beta in pairs if j != k else ((a, a) for a in single):
+                    rows = base.copy()
+                    rows[j], rows[k] = placed[j][alpha], placed[k][beta]
+                    positions = [l + p * r for l in range(p) for r in rows[l]]
+                    if (_condition_ii(positions, p, j, rows[j])
+                            and _condition_iii(positions, p, k, rows[k])):
+                        found.add(component_from_rows(positions))
+    index = {}
+    for nu in found:
+        mu = regularize(nu, p)
+        if index.setdefault(mu, nu) != nu:
+            raise RuntimeError(f"irreducible Specht labels {index[mu]} and "
+                               f"{nu} both regularize to {mu} at p={p}")
+    return index
 
 
 def irreducible_specht_preimage(mu, p: int):
-    """A partition nu with nu^R = mu (that is, with mu's ladder counts) and
-    S^nu irreducible; None if there is none.  Such a nu is unique for p > 2.
-    The answer is memoised per (mu, p) in a bounded cache."""
+    """The partition nu with nu^R = mu and S^nu irreducible, or None.
+
+    Such a nu is unique for p > 2 and lies in mu's block; the answer is read
+    from that block's index of irreducible Specht labels, built once per
+    block in a bounded cache."""
     mu = check_regular(mu, p)
     if p <= 2:
         raise ValueError("the irreducibility criterion needs p > 2")
-    return _preimage(mu, p)
-
-
-@lru_cache(maxsize=65536)
-def _preimage(mu, p):
-    return next((nu for nu in _ladder_preimage(mu, p)
-                 if specht_irreducible(nu, p)), None)
+    return _block_index(*core_and_weight(mu, p), p).get(mu)
 
 
 def theorem_b_applicable(la, p: int):

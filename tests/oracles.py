@@ -6,7 +6,9 @@ abacus/signature machinery under test.  The exceptions are the searches and
 cross-checks the library no longer carries, kept to check it:
 block_scan_preimage, the block scan behind the ladder preimage (its
 enumerate_block and regularize are themselves checked against the oracles
-here); add_p_rim_by_search, the p-rim addition that tried every choice of
+here); ladder_preimage, the pruned search that lists a ladder class row by
+row, which the library replaced by a per-block index of irreducible Specht
+labels; add_p_rim_by_search, the p-rim addition that tried every choice of
 segment ends and re-peeled each candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature; and,
 on top of selfext.signature, difficult_abacus_check (the abacus form of
@@ -18,7 +20,7 @@ and crystal_mullineux (the Mullineux map along good nodes).
 import itertools
 
 from selfext.abacus import display
-from selfext.bijections import peel_p_rim, regularize
+from selfext.bijections import ladder_counts, peel_p_rim, regularize
 from selfext.blocks import block_of, enumerate_block
 from selfext.partitions import (add_node, addable_nodes, height, is_p_regular,
                                 node_residue, remove_node)
@@ -382,6 +384,64 @@ def block_scan_preimage(mu, p):
     """Every nu with nu^R = mu, found by regularizing each member of mu's
     block, in block-enumeration order."""
     return [nu for nu in enumerate_block(block_of(mu, p)) if regularize(nu, p) == mu]
+
+
+def ladder_preimage(mu, p: int) -> list:
+    """Every nu with nu^R = mu, in the order the search meets them.
+
+    Regularization keeps ladder counts, so these are the partitions with mu's
+    ladder counts.  For p > 2 at most one of them labels an irreducible
+    Specht module (that S^nu is D^{nu^R}, and Specht modules are pairwise
+    non-isomorphic), so their order does not matter.  They are built row by
+    row, depth first on an explicit stack (so a member may have any number of
+    rows), and a branch is dropped when a ladder would overflow, when row r
+    leaves ladder r (final from then on) short, or when the farthest ladder
+    still short is out of reach.
+    """
+    counts = ladder_counts(mu, p)
+    top = max(counts, default=0)
+    # need[top + 1] stays 0, which ends the scan for `last` in reachable
+    need = [counts.get(ell, 0) for ell in range(top + 2)]
+    found = []
+    # one frame [r, longest, left, c] per open row: row r holds c nodes (their
+    # ladders already taken from need), at most longest, with left nodes
+    # still to place from row r on
+    stack = []
+
+    def reachable(r, longest):
+        # a later row r' exists only while ladder r' still needs its first
+        # node, and the farthest ladder still short needs a node in one of
+        # those rows at a column <= longest
+        last = r
+        while need[last + 1]:
+            last += 1
+        far = top
+        while far > r and not need[far]:
+            far -= 1
+        return far - (p - 1) * (longest - 1) <= last
+
+    def open_row(r, longest, left):
+        if left == 0:
+            found.append(tuple(frame[3] for frame in stack))
+        elif need[r] == 1:
+            stack.append([r, longest, left, 0])
+
+    open_row(1, top, sum(mu))
+    while stack:
+        frame = stack[-1]
+        r, longest, left, c = frame
+        ell = r + (p - 1) * c    # the ladder of node (r, c + 1)
+        if c < longest and ell <= top and need[ell]:
+            need[ell] -= 1
+            frame[3] = c = c + 1
+            if reachable(r, c):
+                open_row(r + 1, c, left - c)
+        else:
+            for k in range(c):
+                need[r + (p - 1) * k] += 1
+            stack.pop()
+
+    return found
 
 
 # ---------------------------------------------------------------------------

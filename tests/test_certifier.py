@@ -3,9 +3,11 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfext import certifier
 from selfext.abacus import core_and_weight, decode_config
@@ -21,7 +23,7 @@ from selfext.certifier import (
     trick2_targets,
     validate,
 )
-from selfext.partitions import is_p_regular, partitions_of, size
+from selfext.partitions import MAX_SIZE, is_p_regular, partitions_of, size
 from selfext.signatures import e_tilde, f_tilde, is_difficult, signature
 
 # SHA-256 of the JSON list of every certificate test_rule_subset_searches
@@ -324,3 +326,92 @@ def test_huge_p_is_refused_before_trial_division():
         certify((5, 3, 1), huge)
     assert not validate(Certificate(huge, (5, 3, 1), (), Rule("T-SMALL"),
                                     "CERTIFIED"))
+
+
+def test_json_infinity_is_rejected_not_raised():
+    c = certify((10, 5, 4, 3, 1, 1), 3, enabled_rules={"T-SPECHT"})
+    text = json.dumps(c.to_dict())
+    assert validate(certificate_from_dict(json.loads(text)))
+    start = json.loads(text.replace('"start": [10,', '"start": [Infinity,'))
+    witness = json.loads(text.replace('"witness": [9,', '"witness": [Infinity,'))
+    for data in (start, witness):
+        assert validate(certificate_from_dict(data)) is False
+
+
+def test_inputs_above_max_size_return_at_once():
+    # 10**9 boxes: the rules and regularize are linear in the size
+    huge = (10 ** 9, 1)
+    begin = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds {MAX_SIZE} boxes"):
+        certify(huge, 3)
+    assert not validate(Certificate(3, huge, (), Rule("T-HEIGHT"),
+                                    "CERTIFIED"))
+    c = certify((10, 5, 4, 3, 1, 1), 3, enabled_rules={"T-SPECHT"})
+    witness = Rule("T-SPECHT", {**c.terminal.params, "witness": huge})
+    assert not validate(Certificate(c.p, c.start, c.steps, witness, c.status))
+    assert time.perf_counter() - begin < 1
+    at_bound = (MAX_SIZE - 1, 1)
+    assert validate(Certificate(3, at_bound, (), Rule("T-HEIGHT"),
+                                "CERTIFIED"))
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12)
+                | st.just(10 ** 9) | st.floats()
+                | st.sampled_from([float("inf"), float("nan")])  # Infinity, NaN
+                | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+# valid certificates with steps of every parameter shape and a T-SPECHT
+# witness, to be broken one leaf at a time
+SEEDS = [certify(la, 3, enabled_rules=rules).to_dict() for la, rules in (
+    ((4, 1), {"T-SMALL", "R-TRICK1", "R-REFLECT"}),
+    ((10, 5, 4, 3, 1, 1), {"T-SPECHT"}),
+    ((4, 2, 1), {"T-SMALL", "R-SOCLE", "R-TRICK2", "R-MULLINEUX"}))]
+
+
+def entry_paths(node, path=()):
+    """Key/index paths to every entry under a JSON container."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from entry_paths(child, path + (key,))
+
+
+@st.composite
+def broken_certificates(draw):
+    """A seed certificate dict with one entry, at any depth, replaced by a
+    JSON value or deleted from its dict."""
+    data = json.loads(json.dumps(draw(st.sampled_from(SEEDS))))
+    *path, key = draw(st.sampled_from(list(entry_paths(data))))
+    node = data
+    for step in path:
+        node = node[step]
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        # st.recursive mostly draws containers; a bare scalar is the likelier
+        # break (a JSON Infinity inside a partition, say)
+        node[key] = draw(JSON_SCALARS | JSON_VALUES)
+    return data
+
+
+def test_seed_certificates_are_valid():
+    assert {cert["terminal"]["rule"] for cert in SEEDS} == {"T-SMALL",
+                                                           "T-SPECHT"}
+    assert {step["rule"] for cert in SEEDS for step in cert["steps"]} == {
+        "R-TRICK1", "R-REFLECT", "R-SOCLE", "R-TRICK2", "R-MULLINEUX"}
+    assert all(validate(certificate_from_dict(cert)) for cert in SEEDS)
+
+
+@settings(max_examples=300)
+@given(broken_certificates() | JSON_VALUES)
+def test_json_like_input_gives_value_error_or_a_verdict(data):
+    try:
+        cert = certificate_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(validate(cert), bool)

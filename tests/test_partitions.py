@@ -57,6 +57,7 @@ CHECK_PARTITION_PINS = [
     ((1, 2), "parts must be weakly decreasing: (1, 2)"),
     ([3.0, 1], (3, 1)),
     ("321", (3, 2, 1)),
+    ([2, float("inf")], "parts must be finite: [2, inf]"),  # JSON Infinity
 ]
 
 

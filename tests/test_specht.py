@@ -19,9 +19,8 @@ from selfext.partitions import (
 )
 from selfext.signatures import epsilon, signature
 from selfext.specht import (
+    _block_index,
     _irreducible,
-    _ladder_preimage,
-    _preimage,
     irreducible_specht_preimage,
     special_runners,
     specht_irreducible,
@@ -136,7 +135,7 @@ def test_ladder_preimage_matches_block_scan():
             for mu in partitions_of(n):
                 if is_p_regular(mu, p):
                     checked += 1
-                    assert (sorted(_ladder_preimage(mu, p))
+                    assert (sorted(oracles.ladder_preimage(mu, p))
                             == sorted(oracles.block_scan_preimage(mu, p)))
     assert checked == 1393
 
@@ -150,18 +149,39 @@ def test_ladder_preimage_on_a_weight_8_block():
     regular = [mu for mu in members if is_p_regular(mu, 3)]
     assert len(members) == 810 and sorted(scan) == sorted(regular)
     for mu in regular:
-        assert sorted(_ladder_preimage(mu, 3)) == sorted(scan[mu]), mu
+        assert sorted(oracles.ladder_preimage(mu, 3)) == sorted(scan[mu]), mu
+        # the classes scan[mu] cover all 810 members
+        expected = next((nu for nu in scan[mu] if oracles.jm_irreducible(nu, 3)),
+                        None)
+        assert irreducible_specht_preimage(mu, 3) == expected, mu
     assert oracles.block_scan_preimage((10, 5, 4, 3, 1, 1), 3) == scan[(10, 5, 4, 3, 1, 1)]
 
 
 def test_ladder_preimage_has_no_row_limit():
     # 1^1000 has more rows than the default recursion limit allows frames
-    assert sorted(_ladder_preimage((500, 500), 3)) == [(1,) * 1000, (500, 500)]
+    assert sorted(oracles.ladder_preimage((500, 500), 3)) == [(1,) * 1000, (500, 500)]
+
+
+def test_block_index_matches_ladder_classes():
+    # the criterion run backwards, one block at a time, against the ladder
+    # class of each mu filtered by the criterion run forwards
+    checked = found = 0
+    for p, nmax in ((3, 22), (5, 18)):
+        for n in range(nmax + 1):
+            for mu in partitions_of(n):
+                if not is_p_regular(mu, p):
+                    continue
+                expected = next((nu for nu in oracles.ladder_preimage(mu, p)
+                                 if specht_irreducible(nu, p)), None)
+                assert irreducible_specht_preimage(mu, p) == expected, (mu, p)
+                checked += 1
+                found += expected is not None
+    assert (checked, found) == (2710, 889)
 
 
 def test_irreducible_specht_labels_have_distinct_regularizations():
-    # the fact that lets _preimage take the first irreducible member of a
-    # ladder class: for p > 2 no two irreducible S^nu share nu^R
+    # the fact that lets _block_index key each irreducible Specht label by
+    # its regularization: for p > 2 no two irreducible S^nu share nu^R
     seen = {}
     for p, nmax in ((3, 16), (5, 15), (7, 14)):
         for n in range(nmax + 1):
@@ -206,7 +226,7 @@ def test_three_busy_runners_are_reducible():
 
 
 def test_preimage_cache_is_bounded():
-    assert _preimage.cache_info().maxsize == 65536
+    assert _block_index.cache_info().maxsize == 1024
 
 
 # Every exported function that takes a partition, with the rest of its
