@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .partitions import (check_partition, check_regular, is_p_regular,
                          is_p_restricted, partitions_of)
@@ -32,65 +33,56 @@ class SpechtResult:
         return self.irreducible
 
 
-def _runner_data(la, beads, p):
-    """Beta-numbers, bead rows and quotient components of la read with
-    beads >= len(la) beads.  la must be a normalised tuple."""
-    beta = rows_for_component(la, beads)  # one runner's rows are beta-numbers
-    rows = bead_rows(beta, p)
-    return beta, rows, [component_from_rows(r) for r in rows]
+def _top_gap(l, beads, label, p):
+    """Positions of the highest bead (l - p when there is none) and of the
+    lowest empty slot on runner l, holding `beads` beads that carry `label`."""
+    return (l + p * (beads - 1 + (label[0] if label else 0)),
+            l + p * (beads - len(label)))
 
 
-def _condition_ii(beta, p, j, rows_j):
-    """Every occupied position above the first gap of runner j is on runner j."""
-    gaps = [t for t in range(len(rows_j) + 1) if t not in rows_j]
-    first_gap = j + p * gaps[0]
-    return all(q % p == j for q in beta if q > first_gap)
-
-
-def _condition_iii(beta, p, k, rows_k):
-    """Every position below the last bead of runner k, off runner k, is occupied."""
-    if not rows_k:
-        return True
-    last = k + p * rows_k[-1]
-    occupied = set(beta)
-    return all(q in occupied for q in range(last) if q % p != k)
+def _runner_bounds(counts, comps, p):
+    """Top and gap (_top_gap) of every runner, and the highest top and the
+    lowest gap outside a set of runners, read from runner orders sorted once.
+    Condition ii on runner j holds exactly when every other top lies below
+    gap(j), and condition iii on runner k when top(k) lies below every other
+    gap."""
+    tops, gaps = zip(*(_top_gap(l, n, c, p)
+                       for l, (n, c) in enumerate(zip(counts, comps))))
+    by_top = sorted(range(p), key=tops.__getitem__, reverse=True)
+    by_gap = sorted(range(p), key=gaps.__getitem__)
+    return (tops, gaps, lambda skip: next(tops[l] for l in by_top if l not in skip),
+            lambda skip: next(gaps[l] for l in by_gap if l not in skip))
 
 
 @lru_cache(maxsize=65536)
 def _irreducible(la, p):
-    """The recursion behind specht_irreducible; la is a normalised tuple."""
-    h = max(len(la), 1)
-    beta, rows, comps = _runner_data(la, h, p)
-    busy = sum(1 for comp in comps if comp)
-    if busy == 0:
+    """The recursion behind specht_irreducible; la is a normalised tuple.
+
+    Only the display with max(len(la), 1) beads is read: one more bead
+    rotates the runners and with them every passing pair (j, k), so a pair
+    passes on some display exactly when one passes on this one."""
+    beads = max(len(la), 1)
+    rows = bead_rows(rows_for_component(la, beads), p)
+    comps = [component_from_rows(r) for r in rows]
+    nonempty = [j for j in range(p) if comps[j]]
+    if not nonempty:
         # empty quotient: weight 0, a core
         return SpechtResult(la, p, True)
-    if busy > 2:
-        # one more bead only rotates the runners, so every display has more
-        # than two nonempty runners and no (j, k) pair can pass
+    if len(nonempty) > 2:
+        # no runner pair holds all the nonempty runners
         return SpechtResult(la, p, False)
-    for beads in range(h, h + p):
-        if beads > h:
-            beta, rows, comps = _runner_data(la, beads, p)
-        nonempty = [j for j in range(p) if comps[j]]
-        for j in range(p):
-            for k in range(p):
-                if any(l not in (j, k) for l in nonempty):
-                    continue
-                if not _condition_ii(beta, p, j, rows[j]):
-                    continue
-                if not _condition_iii(beta, p, k, rows[k]):
-                    continue
-                if not is_p_regular(comps[j], p):
-                    continue
-                if not is_p_restricted(comps[k], p):
-                    continue
-                sub_j = _irreducible(comps[j], p)
-                if not sub_j:
-                    continue
-                sub_k = _irreducible(comps[k], p)
-                if not sub_k:
-                    continue
+    tops, gaps, top_outside, gap_outside = _runner_bounds(map(len, rows), comps, p)
+    for j in range(p):
+        for k in range(p):
+            if any(l not in (j, k) for l in nonempty):
+                continue
+            if top_outside((j,)) >= gaps[j] or tops[k] >= gap_outside((k,)):
+                continue  # condition ii on j or iii on k fails
+            if not (is_p_regular(comps[j], p) and is_p_restricted(comps[k], p)):
+                continue
+            sub_j = _irreducible(comps[j], p)
+            sub_k = sub_j and _irreducible(comps[k], p)
+            if sub_k:
                 return SpechtResult(la, p, True, beads, j, k, sub_j, sub_k)
     return SpechtResult(la, p, False)
 
@@ -118,39 +110,51 @@ def special_runners(la, p: int):
 def _block_index(core, w, p):
     """nu^R -> nu for every nu in the block (core, w) with S^nu irreducible.
 
-    The criterion of _irreducible, read backwards: on a display with a run
-    of p bead counts from len(core) + p*w on (enough for every member, each
-    runner holding at least w beads; p more beads add a full row, which
-    changes neither the components nor conditions ii/iii), put an
-    irreducible p-regular label on runner j and an irreducible p-restricted
-    one on runner k, sizes adding up to w (one label on j = k), and keep the
-    partition when conditions ii/iii hold.  For p > 2 no two such nu share
-    nu^R: S^nu is D^{nu^R}, and Specht modules are pairwise non-isomorphic.
+    The criterion of _irreducible, read backwards on the core's display with
+    len(core) + p*w beads (enough for every member, each runner holding at
+    least w beads): an irreducible p-regular label alpha on runner j and an
+    irreducible p-restricted one beta on runner k != j, sizes adding up to
+    w.  (A label alone on j = k that passes also passes with beta = () on
+    the other runner of lowest top.)  The core's runners are full prefixes,
+    so with O the highest top and Og the lowest gap of the other runners
+    the pair passes exactly when O < gap(alpha) and top(beta) <
+    min(gap(alpha), Og).  The labels are walked by length and by first part
+    up to those bounds, and each display is decoded once (an empty label
+    looks the same on every runner).  For p > 2 no two such nu share nu^R:
+    S^nu is D^{nu^R}, and Specht modules are pairwise non-isomorphic.
     """
+    if w == 0:
+        return {core: core}
     labels = [[la for la in partitions_of(v) if _irreducible(la, p)]
               for v in range(w + 1)]
-    regular = [[a for a in row if is_p_regular(a, p)] for row in labels]
-    restricted = [[b for b in row if is_p_restricted(b, p)] for row in labels]
-    pairs = [(a, b) for v in range(w + 1)
-             for a in regular[v] for b in restricted[w - v]]
-    single = [a for a in regular[w] if is_p_restricted(a, p)]
-    found = set()
-    low = len(core) + p * w
-    for beads in range(low, low + p):
-        base = bead_rows(rows_for_component(core, beads), p)
-        placed = [{la: rows_for_component(la, len(r)) for row in labels
-                   for la in row} for r in base]
-        for j in range(p):
-            for k in range(p):
-                for alpha, beta in pairs if j != k else ((a, a) for a in single):
-                    rows = base.copy()
-                    rows[j], rows[k] = placed[j][alpha], placed[k][beta]
-                    positions = [l + p * r for l in range(p) for r in rows[l]]
-                    if (_condition_ii(positions, p, j, rows[j])
-                            and _condition_iii(positions, p, k, rows[k])):
-                        found.add(component_from_rows(positions))
+    regular = [sorted((a for a in row if is_p_regular(a, p)), key=len)
+               for row in labels]
+    restricted = [sorted((b for b in row if is_p_restricted(b, p)),
+                         key=lambda b: b[:1]) for row in labels]
+    beads = len(core) + p * w
+    counts = [len(r) for r in bead_rows(rows_for_component(core, beads), p)]
+    _, _, top_outside, gap_outside = _runner_bounds(counts, [()] * p, p)
+    displays = set()
+    for j, k in permutations(range(p), 2):
+        top, gap = top_outside((j, k)), gap_outside((j, k))
+        for v in range(w + 1):
+            for alpha in regular[v]:
+                bound = _top_gap(j, counts[j], alpha, p)[1]
+                if bound <= top:
+                    break
+                bound = min(bound, gap)
+                for beta in restricted[w - v]:
+                    if _top_gap(k, counts[k], beta, p)[0] >= bound:
+                        break
+                    displays.add((j if alpha else -1, alpha,
+                                  k if beta else -1, beta))
     index = {}
-    for nu in found:
+    for j, alpha, k, beta in displays:
+        rows = [range(n) for n in counts]
+        for l, la in ((j, alpha), (k, beta)):
+            if la:
+                rows[l] = rows_for_component(la, counts[l])
+        nu = component_from_rows(l + p * r for l in range(p) for r in rows[l])
         mu = regularize(nu, p)
         if index.setdefault(mu, nu) != nu:
             raise RuntimeError(f"irreducible Specht labels {index[mu]} and "

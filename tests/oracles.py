@@ -8,7 +8,11 @@ block_scan_preimage, the block scan behind the ladder preimage (its
 enumerate_block and regularize are themselves checked against the oracles
 here); ladder_preimage, the pruned search that lists a ladder class row by
 row, which the library replaced by a per-block index of irreducible Specht
-labels; add_p_rim_by_search, the p-rim addition that tried every choice of
+labels; irreducible_by_displays and block_index_by_displays, the
+irreducibility criterion and that index checked on every display position
+by position (runner_data, condition_ii, condition_iii), where the library
+reads each runner's highest bead and lowest gap;
+add_p_rim_by_search, the p-rim addition that tried every choice of
 segment ends and re-peeled each candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature; and,
 on top of selfext.signature, difficult_abacus_check (the abacus form of
@@ -18,13 +22,16 @@ and crystal_mullineux (the Mullineux map along good nodes).
 """
 
 import itertools
+from functools import lru_cache
 
-from selfext.abacus import display
+from selfext.abacus import (bead_rows, component_from_rows, display,
+                            rows_for_component)
 from selfext.bijections import ladder_counts, peel_p_rim, regularize
 from selfext.blocks import block_of, enumerate_block
 from selfext.partitions import (add_node, addable_nodes, height, is_p_regular,
-                                node_residue, remove_node)
+                                is_p_restricted, node_residue, remove_node)
 from selfext.signatures import e_tilde, epsilon, f_tilde, signature
+from selfext.specht import SpechtResult
 from selfext.tables import RunnerPairConfig, locally_difficult
 
 
@@ -442,6 +449,116 @@ def ladder_preimage(mu, p: int) -> list:
             stack.pop()
 
     return found
+
+
+# ---------------------------------------------------------------------------
+# the irreducibility criterion on whole displays
+
+
+def runner_data(la, beads, p):
+    """Beta-numbers, bead rows and quotient components of la read with
+    beads >= len(la) beads.  la must be a normalised tuple."""
+    beta = rows_for_component(la, beads)  # one runner's rows are beta-numbers
+    rows = bead_rows(beta, p)
+    return beta, rows, [component_from_rows(r) for r in rows]
+
+
+def condition_ii(beta, p, j, rows_j):
+    """Every occupied position above the first gap of runner j is on runner j."""
+    gaps = [t for t in range(len(rows_j) + 1) if t not in rows_j]
+    first_gap = j + p * gaps[0]
+    return all(q % p == j for q in beta if q > first_gap)
+
+
+def condition_iii(beta, p, k, rows_k):
+    """Every position below the last bead of runner k, off runner k, is occupied."""
+    if not rows_k:
+        return True
+    last = k + p * rows_k[-1]
+    occupied = set(beta)
+    return all(q in occupied for q in range(last) if q % p != k)
+
+
+@lru_cache(maxsize=65536)
+def irreducible_by_displays(la, p):
+    """The recursion behind specht_irreducible; la is a normalised tuple."""
+    h = max(len(la), 1)
+    beta, rows, comps = runner_data(la, h, p)
+    busy = sum(1 for comp in comps if comp)
+    if busy == 0:
+        # empty quotient: weight 0, a core
+        return SpechtResult(la, p, True)
+    if busy > 2:
+        # one more bead only rotates the runners, so every display has more
+        # than two nonempty runners and no (j, k) pair can pass
+        return SpechtResult(la, p, False)
+    for beads in range(h, h + p):
+        if beads > h:
+            beta, rows, comps = runner_data(la, beads, p)
+        nonempty = [j for j in range(p) if comps[j]]
+        for j in range(p):
+            for k in range(p):
+                if any(l not in (j, k) for l in nonempty):
+                    continue
+                if not condition_ii(beta, p, j, rows[j]):
+                    continue
+                if not condition_iii(beta, p, k, rows[k]):
+                    continue
+                if not is_p_regular(comps[j], p):
+                    continue
+                if not is_p_restricted(comps[k], p):
+                    continue
+                sub_j = irreducible_by_displays(comps[j], p)
+                if not sub_j:
+                    continue
+                sub_k = irreducible_by_displays(comps[k], p)
+                if not sub_k:
+                    continue
+                return SpechtResult(la, p, True, beads, j, k, sub_j, sub_k)
+    return SpechtResult(la, p, False)
+
+
+def block_index_by_displays(core, w, p):
+    """nu^R -> nu for every nu in the block (core, w) with S^nu irreducible.
+
+    The criterion of irreducible_by_displays, read backwards: on a display
+    with a run of p bead counts from len(core) + p*w on (enough for every
+    member, each runner holding at least w beads; p more beads add a full
+    row, which changes neither the components nor conditions ii/iii), put an
+    irreducible p-regular label on runner j and an irreducible p-restricted
+    one on runner k, sizes adding up to w (one label on j = k), and keep the
+    partition when conditions ii/iii hold.  For p > 2 no two such nu share
+    nu^R: S^nu is D^{nu^R}, and Specht modules are pairwise non-isomorphic.
+    """
+    labels = [[la for la in partitions_of(v) if irreducible_by_displays(la, p)]
+              for v in range(w + 1)]
+    regular = [[a for a in row if is_p_regular(a, p)] for row in labels]
+    restricted = [[b for b in row if is_p_restricted(b, p)] for row in labels]
+    pairs = [(a, b) for v in range(w + 1)
+             for a in regular[v] for b in restricted[w - v]]
+    single = [a for a in regular[w] if is_p_restricted(a, p)]
+    found = set()
+    low = len(core) + p * w
+    for beads in range(low, low + p):
+        base = bead_rows(rows_for_component(core, beads), p)
+        placed = [{la: rows_for_component(la, len(r)) for row in labels
+                   for la in row} for r in base]
+        for j in range(p):
+            for k in range(p):
+                for alpha, beta in pairs if j != k else ((a, a) for a in single):
+                    rows = base.copy()
+                    rows[j], rows[k] = placed[j][alpha], placed[k][beta]
+                    positions = [l + p * r for l in range(p) for r in rows[l]]
+                    if (condition_ii(positions, p, j, rows[j])
+                            and condition_iii(positions, p, k, rows[k])):
+                        found.add(component_from_rows(positions))
+    index = {}
+    for nu in found:
+        mu = regularize(nu, p)
+        if index.setdefault(mu, nu) != nu:
+            raise RuntimeError(f"irreducible Specht labels {index[mu]} and "
+                               f"{nu} both regularize to {mu} at p={p}")
+    return index
 
 
 # ---------------------------------------------------------------------------

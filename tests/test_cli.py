@@ -258,12 +258,15 @@ def test_specht_irreducible_json(capsys):
     code, out, _ = capture(capsys, ["specht-irreducible", "4,1,1,1",
                                     "--p", "3", "--json"])
     assert code == 0
-    payload = json.loads(out)
-    assert payload["irreducible"] is True
-    assert payload["beads"] == 4
-    assert payload["regular_runner"] == 1
-    assert payload["restricted_runner"] == 0
-    assert payload["sub_regular"]["irreducible"] is True
+    core = {"p": 3, "irreducible": True, "beads": None,
+            "regular_runner": None, "restricted_runner": None,
+            "sub_regular": None, "sub_restricted": None}
+    assert json.loads(out) == {
+        "partition": [4, 1, 1, 1], "p": 3, "irreducible": True, "beads": 4,
+        "regular_runner": 1, "restricted_runner": 0,
+        "sub_regular": {"partition": [1], **core},
+        "sub_restricted": {"partition": [1], **core},
+    }
 
 
 def test_mullineux_cli(capsys):

@@ -179,6 +179,38 @@ def test_block_index_matches_ladder_classes():
     assert (checked, found) == (2710, 889)
 
 
+def test_block_index_matches_display_oracle():
+    # the runner-bound walk against the criterion checked display by
+    # display, on every block the p-regular partitions reach; a block of
+    # weight 0 holds only its core, whose Specht module is irreducible
+    checked = 0
+    for p, nmax in ((3, 22), (5, 16), (7, 15), (11, 13)):
+        blocks = {core_and_weight(mu, p) for n in range(nmax + 1)
+                  for mu in partitions_of(n) if is_p_regular(mu, p)}
+        for core, w in blocks:
+            if w:
+                expected = oracles.block_index_by_displays(core, w, p)
+            else:
+                assert oracles.rim_core_and_weight(core, p) == (core, 0)
+                assert oracles.jm_irreducible(core, p), (core, p)
+                expected = {core: core}
+            assert _block_index(core, w, p) == expected, (core, w, p)
+        checked += len(blocks)
+    assert checked == 937
+
+
+def test_irreducible_matches_display_oracle():
+    # witnesses included: the same first (beads, j, k) and sub-results
+    checked = 0
+    for p, nmax in ((3, 18), (5, 16), (7, 14)):
+        for n in range(nmax + 1):
+            for la in partitions_of(n):
+                assert (_irreducible(la, p)
+                        == oracles.irreducible_by_displays(la, p)), (la, p)
+                checked += 1
+    assert checked == 3020
+
+
 def test_irreducible_specht_labels_have_distinct_regularizations():
     # the fact that lets _block_index key each irreducible Specht label by
     # its regularization: for p > 2 no two irreducible S^nu share nu^R
