@@ -197,6 +197,7 @@ def _specht_terminal(la, p: int):
 #
 # Reductions in search order: edges(la, p) -> [(params, target)].
 REDUCTIONS = {
+    "R-MULLINEUX": lambda la, p: [({}, mullineux(la, p))],
     "R-REFLECT": lambda la, p: [({"residue": i}, mu)
                                 for i, mu in reflections(la, p)],
     "R-TRICK1": lambda la, p: [({"residue": i}, mu)
@@ -207,9 +208,6 @@ REDUCTIONS = {
     "R-FIXEDTOP": _fixed_top_edges,
     "R-TRICK2": lambda la, p: [({"residues": path}, mu)
                                for path, mu in trick2_targets(la, p)],
-    # The search does not expand along this edge: a twin joins its source's
-    # breadth-first level, and the visited map pairs it with its source.
-    "R-MULLINEUX": lambda la, p: [({}, mullineux(la, p))],
 }
 
 # Terminal criteria in cost order: find(la, p) -> params, or None.
@@ -230,12 +228,12 @@ ALL_RULES = frozenset(TERMINAL_TAGS + REDUCTION_TAGS)
 def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     """Search breadth-first for a certificate that Ext^1(D^la, D^la) = 0.
 
-    Terminal criteria are checked on each popped node, then on its Mullineux
-    twin, before any expansion; the visited set holds both members of every
-    discovered pair, so each twin is computed once, and certificates never
-    exceed max_steps steps.  Returns an UNKNOWN certificate with no steps
-    when the search space is exhausted.  p must be a prime above 2, and la
-    at most MAX_SIZE boxes.
+    The certificate is a shortest one of at most max_steps steps over the
+    enabled rules.  Every REDUCTIONS edge, R-MULLINEUX included, is one step;
+    a partition's terminals are checked once, when it is first reached (the
+    root first), and the search stops at the first hit.  Returns an UNKNOWN
+    certificate with no steps when no certificate of at most max_steps steps
+    exists.  p must be a prime above 2, and la at most MAX_SIZE boxes.
     """
     if check_prime(p) == 2:
         raise ValueError("the rule engine needs p > 2")
@@ -248,12 +246,7 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     terminals = [(tag, find) for tag, find in TERMINALS.items()
                  if tag in rules]
     reductions = [(tag, edges) for tag, edges in REDUCTIONS.items()
-                  if tag in rules and tag != "R-MULLINEUX"]
-    twins = {}  # every discovered partition -> its Mullineux twin, or itself
-
-    def discover(node):
-        twin = mullineux(node, p) if "R-MULLINEUX" in rules else node
-        twins[node], twins[twin] = twin, node
+                  if tag in rules]
 
     def terminal(node):
         for tag, find in terminals:
@@ -262,32 +255,25 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
                 return Rule(tag, params)
         return None
 
+    found = terminal(la)
+    if found:
+        return Certificate(p, la, (), found, "CERTIFIED")
+    seen = {la}
     queue = deque([(la, ())])
     while queue:
         node, path = queue.popleft()
-        found = terminal(node)
-        if found:
-            return Certificate(p, la, path, found, "CERTIFIED")
-        if node not in twins:  # only the root is popped undiscovered
-            discover(node)
-        variants = [(path, node)]
-        twin = twins[node]
-        if twin != node:
-            twin_path = path + (Step(Rule("R-MULLINEUX"), node, twin),)
-            found = len(twin_path) <= max_steps and terminal(twin)
-            if found:
-                return Certificate(p, la, twin_path, found, "CERTIFIED")
-            variants.append((twin_path, twin))
-        for vpath, cur in variants:
-            if len(vpath) >= max_steps:
-                continue
-            for tag, edges in reductions:
-                for params, target in edges(cur, p):
-                    if target in twins:
-                        continue
-                    discover(target)
-                    step = Step(Rule(tag, params), cur, target)
-                    queue.append((target, vpath + (step,)))
+        if len(path) == max_steps:
+            continue
+        for tag, edges in reductions:
+            for params, target in edges(node, p):
+                if target in seen:
+                    continue
+                seen.add(target)
+                reached = path + (Step(Rule(tag, params), node, target),)
+                found = terminal(target)
+                if found:
+                    return Certificate(p, la, reached, found, "CERTIFIED")
+                queue.append((target, reached))
     return Certificate(p, la, (), None, "UNKNOWN")
 
 

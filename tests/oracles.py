@@ -14,11 +14,13 @@ by position (runner_data, condition_ii, condition_iii), where the library
 reads each runner's highest bead and lowest gap;
 add_p_rim_by_search, the p-rim addition that tried every choice of
 segment ends and re-peeled each candidate; table1_by_local_signature, the
-Table I loop that judged every candidate by its full local signature; and,
-on top of selfext.signature, difficult_abacus_check (the abacus form of
-difficulty), node_adjacency_checks (singularity of normal/conormal moves
-against node steps), add_all_addable (adding every i-addable node at once)
-and crystal_mullineux (the Mullineux map along good nodes).
+Table I loop that judged every candidate by its full local signature;
+shortest_certificate_length, the certifier's search redone as level sets
+over its rule tables; and, on top of selfext.signature,
+difficult_abacus_check (the abacus form of difficulty),
+node_adjacency_checks (singularity of normal/conormal moves against node
+steps), add_all_addable (adding every i-addable node at once) and
+crystal_mullineux (the Mullineux map along good nodes).
 """
 
 import itertools
@@ -28,6 +30,7 @@ from selfext.abacus import (bead_rows, component_from_rows, display,
                             rows_for_component)
 from selfext.bijections import ladder_counts, peel_p_rim, regularize
 from selfext.blocks import block_of, enumerate_block
+from selfext.certifier import REDUCTIONS, TERMINALS
 from selfext.partitions import (add_node, addable_nodes, height, is_p_regular,
                                 is_p_restricted, node_residue, remove_node)
 from selfext.signatures import e_tilde, epsilon, f_tilde, signature
@@ -559,6 +562,31 @@ def block_index_by_displays(core, w, p):
             raise RuntimeError(f"irreducible Specht labels {index[mu]} and "
                                f"{nu} both regularize to {mu} at p={p}")
     return index
+
+
+# ---------------------------------------------------------------------------
+# certificate search
+
+
+def shortest_certificate_length(la, p, rules, k):
+    """Fewest steps of a certificate for la over the enabled rules, if at
+    most k, else None.
+
+    Level 0 is {la}; level d+1 is every target of a REDUCTIONS edge (the
+    Mullineux twin included) from level d that no earlier level holds.  The
+    answer is the first d <= k at which any enabled terminal holds on a
+    member of level d.
+    """
+    finds = [find for tag, find in TERMINALS.items() if tag in rules]
+    gens = [edges for tag, edges in REDUCTIONS.items() if tag in rules]
+    level, seen = {la}, {la}
+    for d in range(k + 1):
+        if any(find(mu, p) is not None for mu in level for find in finds):
+            return d
+        level = {target for mu in level for edges in gens
+                 for _, target in edges(mu, p)} - seen
+        seen |= level
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from selfext import certifier
 from selfext.abacus import core_and_weight, decode_config
 from selfext.certifier import (
@@ -29,7 +30,7 @@ from selfext.signatures import e_tilde, f_tilde, is_difficult, signature
 # SHA-256 of the JSON list of every certificate test_rule_subset_searches
 # builds; a change to any search result under any rule subset moves it.
 RULE_SUBSET_DIGEST = (
-    "77145a87c1f77107944056c699cdd071339844290f8a6993b05f66f5d376efcc")
+    "a3a8fde4c8e6c503121055742b2788b69a173d096266983caebba936e4378ebb")
 
 
 def sample_pool(seed=7, count=60):
@@ -205,24 +206,82 @@ def test_rule_subset_searches():
 
 
 def test_certify_computes_each_twin_once(monkeypatch):
-    real = certifier.mullineux
+    real_twin, real_small = certifier.mullineux, certifier.TERMINALS["T-SMALL"]
     calls = Counter()
+    failed = set()  # partitions whose T-SMALL check has returned None
 
     def counting(la, p):
         calls[la] += 1
-        return real(la, p)
+        assert la in failed, la
+        return real_twin(la, p)
+
+    def small(la, p):
+        params = real_small(la, p)
+        if params is None:
+            failed.add(la)
+        return params
 
     monkeypatch.setattr(certifier, "mullineux", counting)
+    monkeypatch.setitem(certifier.TERMINALS, "T-SMALL", small)
     c = certify((2, 1), 3)
     assert c.terminal.tag == "T-WEIGHT" and not calls
+    failed.clear()
     rules = {"T-SMALL", "R-REFLECT", "R-TRICK1", "R-TRICK2", "R-SOCLE",
              "R-FIXEDTOP", "R-MULLINEUX"}
     c = certify((5, 3, 2, 2, 1), 3, enabled_rules=rules, max_steps=8)
-    # No partition is passed twice, nor alongside its own distinct twin.
+    # Only partitions whose own terminal failed are twinned, each once.
     assert len(calls) > 50 and max(calls.values()) == 1
-    assert not [la for la in calls if real(la, 3) != la and real(la, 3) in calls]
     assert "R-MULLINEUX" in [s.rule.tag for s in c.steps]
     assert validate(c)
+
+
+# Six rule subsets without T-WEIGHT, which holds at every root of these
+# sizes; each keeps R-MULLINEUX.
+SEARCH_SUBSETS = [
+    frozenset(ALL_RULES - {"T-WEIGHT"}),
+    frozenset({"T-SMALL", "T-ROCK", "R-MULLINEUX", "R-SOCLE", "R-TRICK2"}),
+    frozenset({"T-SMALL", "T-SPECHT", "R-REFLECT", "R-TRICK1", "R-MULLINEUX"}),
+    frozenset({"T-SMALL", "R-TRICK1", "R-MULLINEUX"}),
+    frozenset({"T-HEIGHT", "R-SOCLE", "R-REFLECT", "R-MULLINEUX"}),
+    frozenset({"T-SMALL", "T-HEIGHT", "R-TRICK1", "R-TRICK2", "R-FIXEDTOP",
+               "R-MULLINEUX"}),
+]
+
+
+def certified_length(la, p, rules, k):
+    c = certify(la, p, enabled_rules=rules, max_steps=k)
+    if c.status == "UNKNOWN":
+        return None
+    assert validate(c), (la, p, sorted(rules), k)
+    return len(c.steps)
+
+
+@pytest.mark.parametrize("la, rules", [
+    pytest.param((4, 2, 1), SEARCH_SUBSETS[1], id="4,2,1-rock-socle-trick2"),
+    pytest.param((5, 5, 3, 3), SEARCH_SUBSETS[2],
+                 id="5,5,3,3-specht-reflect-trick1"),
+])
+def test_certify_finds_the_two_step_certificate(la, rules):
+    # A 3-step certificate through a twin comes first when twins are
+    # expanded in their source's level, though a twin is one step deeper.
+    assert oracles.shortest_certificate_length(la, 3, rules, 3) == 2
+    assert certified_length(la, 3, rules, 3) == 2
+
+
+def test_certify_matches_shortest_certificate_oracle():
+    pool = [(p, la, rules, k)
+            for p, top in ((3, 16), (5, 12))
+            for n in range(1, top + 1)
+            for la in partitions_of(n) if is_p_regular(la, p)
+            for rules in SEARCH_SUBSETS for k in range(1, 5)]
+    sample = random.Random(14).sample(pool, 2000)
+    lengths = Counter()
+    for p, la, rules, k in sample:
+        want = oracles.shortest_certificate_length(la, p, rules, k)
+        got = certified_length(la, p, rules, k)
+        assert got == want, (p, la, sorted(rules), k)
+        lengths[want] += 1
+    assert lengths[None] and lengths[3] and lengths[4]
 
 
 def test_tampered_certificates_rejected():
