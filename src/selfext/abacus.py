@@ -107,11 +107,17 @@ def quotient(gamma: AbacusDisplay) -> RunnerStats:
 
 
 def core_and_weight(la, p: int) -> tuple:
-    """(p-core, weight) from the h + 1 beta-numbers of la, lowest first: the
-    bead at q moves up its runner past the count[q % p] beads already on it."""
+    """(p-core, weight) of la."""
     la = check_partition(la)
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
+    return core_weight(la, p)
+
+
+def core_weight(la, p: int) -> tuple:
+    """core_and_weight of a normalised tuple, from its h + 1 beta-numbers,
+    lowest first: the bead at q moves up its runner past the count[q % p]
+    beads already on it."""
     count, moves = [0] * p, 0
     for q in (0, *map(operator.add, reversed(la), range(1, len(la) + 1))):
         moves += q // p - count[q % p]

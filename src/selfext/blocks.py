@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from .partitions import (check_partition, check_regular, height,
                          is_p_regular, partitions_of)
 from .abacus import (bead_rows, component_from_rows, core_and_weight,
-                     display, rows_for_component)
+                     core_weight, display, rows_for_component)
 
 
 @dataclass(frozen=True)
@@ -90,5 +90,5 @@ def _rouquier_counts(core, p: int, d: int) -> bool:
 
 def is_rock_block(la, p: int) -> bool:
     """True iff la lies in a block with a d-Rouquier core, d = wt(la)."""
-    core, d = core_and_weight(check_regular(la, p), p)
+    core, d = core_weight(check_regular(la, p), p)
     return _rouquier_counts(core, p, d)

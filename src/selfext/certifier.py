@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from .partitions import (MAX_SIZE, add_node, check_partition, check_prime,
                          check_regular, height, is_p_regular, remove_node,
                          size)
-from .abacus import core_and_weight
+from .abacus import core_weight
 from .signatures import (add_conormals, difficult, fixed_top_shape,
-                         reflections, remove_normals, signature)
+                         reflections, remove_normals, signatures)
 from .bijections import mullineux, regularize
 from .blocks import is_rock_block
 from .specht import specht_irreducible, theorem_b_applicable
@@ -111,13 +111,9 @@ def _normalize_rules(enabled_rules) -> frozenset:
 
 def trick1_targets(la, p: int) -> list:
     """All (i, mu) with eps_i > 0, la not i-difficult, mu = e~_i^{eps_i} la."""
-    la = check_regular(la, p)
-    out = []
-    for i in range(p):
-        sig = signature(la, p, i)
-        if sig.epsilon > 0 and not difficult(sig):
-            out.append((i, remove_normals(sig, sig.epsilon)))
-    return out
+    return [(sig.residue, remove_normals(sig, sig.epsilon))
+            for sig in signatures(check_regular(la, p), p)
+            if sig.epsilon > 0 and not difficult(sig)]
 
 
 def trick2_targets(la, p: int) -> list:
@@ -129,18 +125,17 @@ def trick2_targets(la, p: int) -> list:
     (residue path, target) pairs with target = e~^eps of the endpoint; the
     path lists the stepped residues, its last entry being the endpoint's.
     """
-    la = check_regular(la, p)
+    reports = signatures(check_regular(la, p), p)
     out = []
     for i in range(p):
-        sig = signature(la, p, i + 1)
+        sig = reports[(i + 1) % p]
         path = []
-        for m in range(2, p + 1):
+        for _ in range(p - 1):
             if sig.epsilon != 0:
                 break
             mu = add_conormals(sig, sig.phi)
             path.append(sig.residue)
-            # the next step's residue is this step's endpoint residue
-            sig = signature(mu, p, i + m)
+            sig = signatures(mu, p)[(sig.residue + 1) % p]
             if sig.epsilon > 0:
                 if sig.phi > 0 and not difficult(sig):
                     out.append((tuple(path) + (sig.residue,),
@@ -149,21 +144,22 @@ def trick2_targets(la, p: int) -> list:
     return out
 
 
-def _socle_edges(la, p: int, i: int) -> list:
-    """Socle embeddings at residue i: ("e"/"f", target) pairs.
+def _socle_edges(sig) -> list:
+    """Socle embeddings at the residue i of the report sig: ("e"/"f",
+    target) pairs.
 
     The e-move passes to e~_i^{eps} la and is blocked when phi > 0 and adding
     the (eps+1)-th conormal node of the target breaks p-regularity; the f-move
     passes to f~_i^{phi} la with the dual blocking condition.
     """
-    sig = signature(la, p, i)
+    p, i = sig.p, sig.residue
     r, s = sig.epsilon, sig.phi
     out = []
     if r > 0:
         mu = remove_normals(sig, r)
         ok = True
         if s > 0:
-            b = signature(mu, p, i).conormals[r]
+            b = signatures(mu, p)[i].conormals[r]
             ok = is_p_regular(add_node(mu, b), p)
         if ok:
             out.append(("e", mu))
@@ -171,7 +167,7 @@ def _socle_edges(la, p: int, i: int) -> list:
         nu = add_conormals(sig, s)
         ok = True
         if r > 0:
-            a = signature(nu, p, i).normals[s]
+            a = signatures(nu, p)[i].normals[s]
             ok = is_p_regular(remove_node(nu, a), p)
         if ok:
             out.append(("f", nu))
@@ -179,10 +175,10 @@ def _socle_edges(la, p: int, i: int) -> list:
 
 
 def _fixed_top_edges(la, p: int) -> list:
-    i = fixed_top_shape(la, p)
-    if i is None:
+    sig = fixed_top_shape(la, p)
+    if sig is None:
         return []
-    return [({"residue": i}, remove_node(la, signature(la, p, i).good))]
+    return [({"residue": sig.residue}, remove_node(la, sig.good))]
 
 
 def _specht_terminal(la, p: int):
@@ -202,9 +198,9 @@ REDUCTIONS = {
                                 for i, mu in reflections(la, p)],
     "R-TRICK1": lambda la, p: [({"residue": i}, mu)
                                for i, mu in trick1_targets(la, p)],
-    "R-SOCLE": lambda la, p: [({"residue": i, "direction": d}, mu)
-                              for i in range(p)
-                              for d, mu in _socle_edges(la, p, i)],
+    "R-SOCLE": lambda la, p: [({"residue": sig.residue, "direction": d}, mu)
+                              for sig in signatures(la, p)
+                              for d, mu in _socle_edges(sig)],
     "R-FIXEDTOP": _fixed_top_edges,
     "R-TRICK2": lambda la, p: [({"residues": path}, mu)
                                for path, mu in trick2_targets(la, p)],
@@ -214,7 +210,7 @@ REDUCTIONS = {
 TERMINALS = {
     "T-SMALL": lambda la, p: {} if size(la) < p else None,
     "T-WEIGHT": lambda la, p:
-        {} if core_and_weight(la, p)[1] <= WEIGHT_BOUND else None,
+        {} if core_weight(la, p)[1] <= WEIGHT_BOUND else None,
     "T-HEIGHT": lambda la, p: {} if height(la) <= p + HEIGHT_MARGIN else None,
     "T-ROCK": lambda la, p: {} if is_rock_block(la, p) else None,
     "T-SPECHT": _specht_terminal,
@@ -287,7 +283,7 @@ def _specht_witness_holds(params: dict, la, p: int) -> bool:
     i, nu = params["residue"], tuple(params["witness"])
     if i not in range(p) or size(nu) > MAX_SIZE:
         return False
-    sig = signature(la, p, i)
+    sig = signatures(la, p)[i]
     return (regularize(nu, p) == remove_normals(sig, sig.epsilon)
             and bool(specht_irreducible(nu, p)))
 

@@ -12,7 +12,7 @@ from importlib import resources
 from .partitions import (check_prime, format_partition, is_p_regular,
                          parse_partition, partitions_of)
 from .abacus import core_and_weight
-from .signatures import signature
+from .signatures import signatures
 from .bijections import mullineux, regularize
 from .blocks import BlockId, enumerate_block
 from .specht import specht_irreducible
@@ -33,21 +33,18 @@ def _cmd_analyze(args) -> int:
     p = check_prime(args.p)
     la = parse_partition(args.partition)
     core, weight = core_and_weight(la, p)
-    residues = []
-    for i in range(p):
-        sig = signature(la, p, i)
-        residues.append({
-            "residue": i,
-            "word": [[list(node), sign] for node, sign in sig.word],
-            "normals": [list(node) for node in sig.normals],
-            "conormals": [list(node) for node in sig.conormals],
-            "epsilon": sig.epsilon,
-            "phi": sig.phi,
-            "epsilon_prime": sig.epsilon_prime,
-            "phi_prime": sig.phi_prime,
-            "good": list(sig.good) if sig.good else None,
-            "cogood": list(sig.cogood) if sig.cogood else None,
-        })
+    residues = [{
+        "residue": sig.residue,
+        "word": [[list(node), sign] for node, sign in sig.word],
+        "normals": [list(node) for node in sig.normals],
+        "conormals": [list(node) for node in sig.conormals],
+        "epsilon": sig.epsilon,
+        "phi": sig.phi,
+        "epsilon_prime": sig.epsilon_prime,
+        "phi_prime": sig.phi_prime,
+        "good": list(sig.good) if sig.good else None,
+        "cogood": list(sig.cogood) if sig.cogood else None,
+    } for sig in signatures(la, p)]
     regular = is_p_regular(la, p)
     payload = {
         "partition": list(la),

@@ -19,10 +19,15 @@ MAX_SIZE = 100_000  # largest partition size (text, certify, validate) and p
 
 def check_partition(la) -> tuple:
     """Normalize to a tuple, dropping trailing zeros; raise on bad input."""
+    raw = tuple(la)
     try:
-        parts = tuple(map(int, la))
+        parts = tuple(map(int, raw))
     except OverflowError:  # int(float("inf")); a NaN already gives ValueError
         raise ValueError(f"parts must be finite: {la!r}") from None
+    # int() truncates 2.7; a digit string such as "3" is read as its integer
+    if parts != raw and any(part != x for part, x in zip(parts, raw)
+                            if not isinstance(x, str)):
+        raise ValueError(f"parts must be integers: {la!r}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if parts and min(parts) <= 0:

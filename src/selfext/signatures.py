@@ -1,19 +1,22 @@
 """i-signatures, normal/conormal nodes, crystal operators, difficulty, reflections.
 
 The signed word of residue-i addable (+) and removable (-) nodes is read in
-increasing beta-position order (bottom-left to top-right of the diagram);
-adjacent "-+" pairs are erased.  Surviving "-" are the normal nodes A_1..A_eps
-labeled bottom to top (good node = A_1), surviving "+" the conormal nodes
-B_1..B_phi labeled top to bottom (cogood node = B_1).
+increasing content order, which is the order of a walk along the rim from the
+bottom-left to the top-right of the diagram: the addable node below the last
+row, then, row by row upwards, each row's removable node and the addable node
+to its right.  One such walk sorts every node into the word of its residue,
+so all p words come out of it in reading order, with nothing filtered or
+sorted.  Adjacent "-+" pairs are erased.  Surviving "-" are the normal nodes
+A_1..A_eps labeled bottom to top (good node = A_1), surviving "+" the
+conormal nodes B_1..B_phi labeled top to bottom (cogood node = B_1).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
 
-from .partitions import (add_node, addable_nodes, check_partition,
-                         check_regular, is_p_regular, node_residue,
-                         remove_node, removable_nodes)
+from .partitions import (add_node, check_partition, check_regular,
+                         is_p_regular, node_residue, remove_node)
 
 
 @dataclass(frozen=True)
@@ -24,7 +27,6 @@ class SignatureReport:
     p: int
     residue: int
     word: tuple          # ((node, sign), ...) in reading order
-    reduced: tuple       # surviving entries of word, same order
     normals: tuple       # A_1..A_eps, bottom to top
     conormals: tuple     # B_1..B_phi, top to bottom
     epsilon: int
@@ -59,31 +61,31 @@ def cancel_word(entries):
     return plus, pending
 
 
+def signatures(la, p: int) -> list:
+    """The p signature reports of la, indexed by residue, from one walk along
+    its rim (see the module docstring); la is a normalised tuple."""
+    h = len(la)
+    words = [[] for _ in range(p)]
+    words[-h % p].append(((h + 1, 1), "+"))
+    for row in range(h, 0, -1):
+        part = la[row - 1]
+        if row == h or part > la[row]:
+            words[(part - row) % p].append(((row, part), "-"))
+        if row == 1 or la[row - 2] > part:
+            words[(part + 1 - row) % p].append(((row, part + 1), "+"))
+    reports = []
+    for i, word in enumerate(words):
+        plus, minus = cancel_word((sign, node) for node, sign in word)
+        pairs = (len(word) - len(plus) - len(minus)) // 2  # "-+" erased
+        reports.append(SignatureReport(
+            la, p, i, tuple(word), tuple(minus), tuple(reversed(plus)),
+            len(minus), len(plus), len(minus) + pairs, len(plus) + pairs))
+    return reports
+
+
 def signature(la, p: int, i: int) -> SignatureReport:
     """Residue-i signature report of la."""
-    la = check_partition(la)
-    i %= p
-    entries = []
-    for node in removable_nodes(la):
-        if node_residue(node, p) == i:
-            row, col = node
-            entries.append((col - row, node, "-"))
-    for node in addable_nodes(la):
-        if node_residue(node, p) == i:
-            row, col = node
-            entries.append((col - row, node, "+"))
-    entries.sort()  # increasing beta-position = bottom-left to top-right
-    word = tuple((node, sign) for _, node, sign in entries)
-    plus, pending = cancel_word(
-        [(sign, idx) for idx, (_, sign) in enumerate(word)])
-    surviving = sorted(plus + pending)
-    reduced = tuple(word[idx] for idx in surviving)
-    normals = tuple(word[idx][0] for idx in pending)
-    conormals = tuple(word[idx][0] for idx in reversed(plus))
-    n_removable = sum(1 for _, sign in word if sign == "-")
-    return SignatureReport(la, p, i, word, reduced, normals, conormals,
-                           len(pending), len(plus), n_removable,
-                           len(word) - n_removable)
+    return signatures(check_partition(la), p)[i % p]
 
 
 def epsilon(la, p, i) -> int:
@@ -109,7 +111,7 @@ def e_tilde(la, p: int, i: int, r: int = 1):
     la = check_regular(la, p)
     if r < 0:
         raise ValueError("r must be non-negative")
-    sig = signature(la, p, i)
+    sig = signatures(la, p)[i % p]
     return None if r > sig.epsilon else remove_normals(sig, r)
 
 
@@ -118,7 +120,7 @@ def f_tilde(la, p: int, i: int, r: int = 1):
     la = check_regular(la, p)
     if r < 0:
         raise ValueError("r must be non-negative")
-    sig = signature(la, p, i)
+    sig = signatures(la, p)[i % p]
     return None if r > sig.phi else add_conormals(sig, r)
 
 
@@ -133,42 +135,34 @@ def difficult(sig: SignatureReport) -> bool:
 def is_difficult(la, p: int, i: int) -> bool:
     """eps_i, phi_i > 0 and removing the good while adding the cogood node
     destroys p-regularity."""
-    return difficult(signature(check_regular(la, p), p, i))
+    return difficult(signatures(check_regular(la, p), p)[i % p])
 
 
 def reflections(la, p: int) -> list:
     """All (i, mu) with mu = f~_i^{phi_i} la when eps_i = 0, or
     mu = e~_i^{eps_i} la when phi_i = 0 (degenerate eps = phi = 0 excluded)."""
-    la = check_regular(la, p)
     out = []
-    for i in range(p):
-        sig = signature(la, p, i)
+    for sig in signatures(check_regular(la, p), p):
         if sig.epsilon == 0 and sig.phi > 0:
-            out.append((i, add_conormals(sig, sig.phi)))
+            out.append((sig.residue, add_conormals(sig, sig.phi)))
         elif sig.phi == 0 and sig.epsilon > 0:
-            out.append((i, remove_normals(sig, sig.epsilon)))
+            out.append((sig.residue, remove_normals(sig, sig.epsilon)))
     return out
 
 
 def fixed_top_shape(la, p: int):
-    """Residue i when la = ((a+1)^c, a^{p-2}, a-1, ...) with (c, a+1) good and
-    (c+p-1, a) cogood at residue i; None otherwise.  la is a p-regular
-    tuple and p > 2, as the caller has checked."""
+    """The residue-i signature report of la when la = ((a+1)^c, a^{p-2},
+    a-1, ...) with (c, a+1) good and (c+p-1, a) cogood at residue i; None
+    otherwise.  la is a p-regular tuple and p > 2, as the caller has
+    checked."""
     if not la or la[0] < 2:
         return None
     a = la[0] - 1
     c = next(k for k in range(1, len(la) + 1) if k == len(la) or la[k] != la[0])
     padded = la + (0,) * max(0, c + p - 1 - len(la))
-    if any(padded[k] != a for k in range(c, c + p - 2)):
+    if padded[c:c + p - 1] != (a,) * (p - 2) + (a - 1,):
         return None
-    if padded[c + p - 2] != a - 1:
+    sig = signatures(la, p)[node_residue((c, a + 1), p)]
+    if sig.good != (c, a + 1) or sig.cogood != (c + p - 1, a):
         return None
-    node_a = (c, a + 1)
-    node_b = (c + p - 1, a)
-    i = node_residue(node_a, p)
-    if node_residue(node_b, p) != i:
-        return None
-    sig = signature(la, p, i)
-    if sig.good != node_a or sig.cogood != node_b:
-        return None
-    return i
+    return sig

@@ -9,10 +9,10 @@ from itertools import permutations
 
 from .partitions import (check_partition, check_regular, is_p_regular,
                          is_p_restricted, partitions_of)
-from .abacus import (bead_rows, component_from_rows, core_and_weight,
+from .abacus import (bead_rows, component_from_rows, core_weight,
                      rows_for_component)
 from .bijections import regularize
-from .signatures import remove_normals, signature
+from .signatures import remove_normals, signatures
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def irreducible_specht_preimage(mu, p: int):
     mu = check_regular(mu, p)
     if p <= 2:
         raise ValueError("the irreducibility criterion needs p > 2")
-    return _block_index(*core_and_weight(mu, p), p).get(mu)
+    return _block_index(*core_weight(mu, p), p).get(mu)
 
 
 def theorem_b_applicable(la, p: int):
@@ -179,10 +179,9 @@ def theorem_b_applicable(la, p: int):
     None when no residue works."""
     if p <= 2:
         raise ValueError("needs p > 2")
-    la = check_regular(la, p)
-    for i in range(p):
-        sig = signature(la, p, i)
-        nu = irreducible_specht_preimage(remove_normals(sig, sig.epsilon), p)
+    for sig in signatures(check_regular(la, p), p):
+        mu = remove_normals(sig, sig.epsilon)  # p-regular, as la is
+        nu = _block_index(*core_weight(mu, p), p).get(mu)
         if nu is not None:
-            return i, nu
+            return sig.residue, nu
     return None

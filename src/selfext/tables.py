@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .partitions import (check_partition, height, is_p_regular,
                          partitions_of, size)
 from .abacus import AbacusDisplay, decode, rows_for_component
-from .signatures import cancel_word, is_difficult
+from .signatures import cancel_word, difficult, signatures
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,8 @@ def realize_config(config, p: int):
             if not is_p_regular(la, p):
                 errors.append(f"j={j}: decoded {la} is {p}-singular")
                 continue
-            bad = [i for i in residues if not is_difficult(la, p, i)]
+            reports = signatures(la, p)
+            bad = [i for i in residues if not difficult(reports[i])]
             if bad:
                 errors.append(f"j={j}: {la} not difficult at {bad}")
                 continue

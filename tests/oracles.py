@@ -15,6 +15,8 @@ reads each runner's highest bead and lowest gap;
 add_p_rim_by_search, the p-rim addition that tried every choice of
 segment ends and re-peeled each candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature;
+signature_by_residue, the signed word of one residue filtered from all
+nodes and sorted, which the library replaced by one walk along the rim;
 shortest_certificate_length, the certifier's search redone as level sets
 over its rule tables; and, on top of selfext.signature,
 difficult_abacus_check (the abacus form of difficulty),
@@ -32,8 +34,10 @@ from selfext.bijections import ladder_counts, peel_p_rim, regularize
 from selfext.blocks import block_of, enumerate_block
 from selfext.certifier import REDUCTIONS, TERMINALS
 from selfext.partitions import (add_node, addable_nodes, height, is_p_regular,
-                                is_p_restricted, node_residue, remove_node)
-from selfext.signatures import e_tilde, epsilon, f_tilde, signature
+                                is_p_restricted, node_residue, remove_node,
+                                removable_nodes)
+from selfext.signatures import (SignatureReport, cancel_word, e_tilde, epsilon,
+                                f_tilde, signature)
 from selfext.specht import SpechtResult
 from selfext.tables import RunnerPairConfig, locally_difficult
 
@@ -266,6 +270,24 @@ def rouquier_by_full_scan(rho, p, d):
 
 # ---------------------------------------------------------------------------
 # signature cross-checks
+
+
+def signature_by_residue(la, p, i):
+    """The residue-i signature report read one residue at a time: keep the
+    removable and addable nodes of residue i, sort them by content, cancel
+    "-+" pairs, and count the removable and addable nodes of the word."""
+    entries = sorted([(col - row, (row, col), "-")
+                      for row, col in removable_nodes(la)
+                      if node_residue((row, col), p) == i]
+                     + [(col - row, (row, col), "+")
+                        for row, col in addable_nodes(la)
+                        if node_residue((row, col), p) == i])
+    word = tuple((node, sign) for _, node, sign in entries)
+    plus, minus = cancel_word((sign, node) for node, sign in word)
+    removable = sum(sign == "-" for _, sign in word)
+    return SignatureReport(la, p, i, word, tuple(minus), tuple(reversed(plus)),
+                           len(minus), len(plus), removable,
+                           len(word) - removable)
 
 
 def difficult_abacus_check(la, p, i):

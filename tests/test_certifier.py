@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import Counter
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from selfext import certifier
+from selfext import certifier, partitions
 from selfext.abacus import core_and_weight, decode_config
 from selfext.certifier import (
     ALL_RULES,
@@ -25,7 +26,8 @@ from selfext.certifier import (
     validate,
 )
 from selfext.partitions import MAX_SIZE, is_p_regular, partitions_of, size
-from selfext.signatures import e_tilde, f_tilde, is_difficult, signature
+from selfext.signatures import (e_tilde, f_tilde, is_difficult, signature,
+                                 signatures)
 
 # SHA-256 of the JSON list of every certificate test_rule_subset_searches
 # builds; a change to any search result under any rule subset moves it.
@@ -101,7 +103,7 @@ def test_trick1_targets_are_socle_edges():
             if not is_p_regular(la, 3):
                 continue
             for i, mu in trick1_targets(la, 3):
-                assert ("e", mu) in _socle_edges(la, 3, i)
+                assert ("e", mu) in _socle_edges(signatures(la, 3)[i])
 
 
 def test_trick2_hand_chain():
@@ -395,6 +397,35 @@ def test_json_infinity_is_rejected_not_raised():
     witness = json.loads(text.replace('"witness": [9,', '"witness": [Infinity,'))
     for data in (start, witness):
         assert validate(certificate_from_dict(data)) is False
+
+
+def test_non_integral_parts_are_refused():
+    with pytest.raises(ValueError, match="parts must be integers"):
+        certify((4.9, 2.2, 1.5), 3)
+    data = certify((4, 2, 1), 3).to_dict()
+    assert validate(certificate_from_dict(data))
+    data["start"] = [4.9, 2.2, 1.5]  # int() would read it as (4, 2, 1)
+    assert validate(certificate_from_dict(data)) is False
+
+
+def test_a_weight_root_is_checked_once_by_certify_and_once_by_validate(
+        monkeypatch):
+    real, calls = partitions.check_partition, []
+
+    def counting(la):
+        calls.append(la)
+        return real(la)
+
+    # every binding of check_partition in the package, as a tracer sees it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "selfext":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    cert = certify((4, 2, 1), 3)
+    assert cert.terminal.tag == "T-WEIGHT" and not cert.steps
+    assert validate(cert)
+    assert calls == [(4, 2, 1), (4, 2, 1)]
 
 
 def test_inputs_above_max_size_return_at_once():

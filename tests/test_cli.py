@@ -22,17 +22,28 @@ def capture(capsys, argv):
 def test_analyze_json(capsys):
     code, out, _ = capture(capsys, ["analyze", "4,2,1", "--p", "3", "--json"])
     assert code == 0
-    payload = json.loads(out)
-    assert payload["partition"] == [4, 2, 1]
-    assert payload["core"] == [1]
-    assert payload["weight"] == 2
-    assert payload["regular"] is True
-    assert payload["mullineux"] == [4, 2, 1]
-    assert payload["regularization"] == [4, 2, 1]
-    res0 = payload["residues"][0]
-    assert res0["epsilon"] == 2 and res0["phi"] == 1
-    assert res0["good"] == [2, 2] and res0["cogood"] == [4, 1]
-    assert res0["word"] == [[[4, 1], "+"], [[2, 2], "-"], [[1, 4], "-"]]
+    # residue 1 reads "-++": one pair cancels, so phi' = 2 but phi = 1
+    assert json.loads(out) == {
+        "partition": [4, 2, 1], "p": 3, "core": [1], "weight": 2,
+        "regular": True, "mullineux": [4, 2, 1],
+        "regularization": [4, 2, 1],
+        "residues": [
+            {"residue": 0,
+             "word": [[[4, 1], "+"], [[2, 2], "-"], [[1, 4], "-"]],
+             "normals": [[2, 2], [1, 4]], "conormals": [[4, 1]],
+             "epsilon": 2, "phi": 1, "epsilon_prime": 2, "phi_prime": 1,
+             "good": [2, 2], "cogood": [4, 1]},
+            {"residue": 1,
+             "word": [[[3, 1], "-"], [[2, 3], "+"], [[1, 5], "+"]],
+             "normals": [], "conormals": [[1, 5]],
+             "epsilon": 0, "phi": 1, "epsilon_prime": 1, "phi_prime": 2,
+             "good": None, "cogood": [1, 5]},
+            {"residue": 2, "word": [[[3, 2], "+"]],
+             "normals": [], "conormals": [[3, 2]],
+             "epsilon": 0, "phi": 1, "epsilon_prime": 0, "phi_prime": 1,
+             "good": None, "cogood": [3, 2]},
+        ],
+    }
 
 
 def test_analyze_text(capsys):

@@ -1,5 +1,7 @@
 """Tests for basic partition combinatorics."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,8 @@ CHECK_PARTITION_PINS = [
     ([3.0, 1], (3, 1)),
     ("321", (3, 2, 1)),
     ([2, float("inf")], "parts must be finite: [2, inf]"),  # JSON Infinity
+    ((3, 2.7), "parts must be integers: (3, 2.7)"),  # int() would give 2
+    ((Fraction(5, 2),), "parts must be integers: (Fraction(5, 2),)"),
 ]
 
 

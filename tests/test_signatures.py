@@ -21,6 +21,7 @@ from selfext.signatures import (
     phi,
     reflections,
     signature,
+    signatures,
 )
 
 
@@ -38,8 +39,7 @@ def signs(entries):
 def test_signature_example():
     rep = signature((4, 2, 1), 3, 0)
     assert rep.word == (((4, 1), "+"), ((2, 2), "-"), ((1, 4), "-"))
-    assert rep.reduced == rep.word
-    assert signs(rep.reduced) == "+--"
+    assert signs(rep.word) == "+--"  # nothing cancels
     assert rep.normals == ((2, 2), (1, 4))
     assert rep.conormals == ((4, 1),)
     assert rep.epsilon == 2 and rep.phi == 1
@@ -48,9 +48,20 @@ def test_signature_example():
     assert rep.cogood == (4, 1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rim_walk_matches_per_residue_oracle(p):
+    for n in range(16):
+        for la in partitions_of(n):
+            reports = signatures(la, p)
+            assert len(reports) == p
+            for i, rep in enumerate(reports):
+                # dataclass equality compares every field
+                assert rep == oracles.signature_by_residue(la, p, i), (la, i)
+
+
 def test_signature_empty_partition():
     rep = signature((), 3, 0)
-    assert signs(rep.reduced) == "+"
+    assert signs(rep.word) == "+"
     assert rep.epsilon == 0 and rep.phi == 1
     assert rep.good is None
     assert rep.cogood == (1, 1)
@@ -180,8 +191,8 @@ def test_reflections_examples():
 
 
 def test_fixed_top_shape_examples():
-    assert fixed_top_shape((2, 1), 3) == 1
-    assert fixed_top_shape((3, 2, 1), 3) == 2
+    assert fixed_top_shape((2, 1), 3) == signature((2, 1), 3, 1)
+    assert fixed_top_shape((3, 2, 1), 3) == signature((3, 2, 1), 3, 2)
     assert fixed_top_shape((3, 1), 3) is None
     assert fixed_top_shape((4, 2, 1), 3) is None
     assert fixed_top_shape((), 3) is None
@@ -238,7 +249,9 @@ def test_prime_counts_sum_to_node_counts(la):
 @given(regular_partition_strategy(3), st.integers(min_value=0, max_value=2))
 def test_reduced_word_shape(la, i):
     rep = signature(la, 3, i)
-    assert signs(rep.reduced) == "+" * rep.phi + "-" * rep.epsilon
+    surviving = set(rep.normals + rep.conormals)
+    reduced = [(node, sign) for node, sign in rep.word if node in surviving]
+    assert signs(reduced) == "+" * rep.phi + "-" * rep.epsilon
     # normals bottom to top, conormals top to bottom
     diag = [col - row for row, col in rep.normals]
     assert diag == sorted(diag)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import selfext
+from selfext import abacus, signatures, specht
 from selfext.abacus import (beta_set, component_from_rows, core_and_weight,
                             display, quotient)
 from selfext.bijections import regularize
@@ -341,6 +342,19 @@ def test_theorem_b_examples():
     assert theorem_b_applicable((4, 2, 1), 3) == (0, (3, 1, 1))
     assert theorem_b_applicable((6, 2), 3) is None
     assert theorem_b_applicable((3, 3, 1, 1), 3) is None
+
+
+def test_theorem_b_applicable_calls_no_exported_name(monkeypatch):
+    def exported(*args):
+        raise AssertionError(f"an exported name was called with {args}")
+
+    # the names specht may bind, and the modules that define them
+    for module, name in ((specht, "signature"), (specht, "core_and_weight"),
+                         (specht, "irreducible_specht_preimage"),
+                         (signatures, "signature"),
+                         (abacus, "core_and_weight")):
+        monkeypatch.setattr(module, name, exported, raising=False)
+    assert theorem_b_applicable((6, 4, 2, 2, 1), 3) == (0, (6, 4, 2, 1, 1, 1))
 
 
 def test_full_addition_preserves_irreducibility():
