@@ -1,4 +1,4 @@
-"""Abacus displays on p runners: cores, quotients, weights, runner configs.
+"""Abacus displays on p runners: cores, quotients, weights, runner rows.
 
 A display places beads at the beta-numbers {la_i + N - i : 1 <= i <= N} of a
 partition read with N beads; position q sits on runner q mod p at row q // p.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .partitions import check_partition, height, parse_partition
+from .partitions import check_partition, height
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,11 @@ def bead_rows(positions, p: int) -> list:
     for q in sorted(positions):
         rows[q % p].append(q // p)
     return rows
+
+
+def from_runner_rows(rows, p: int) -> tuple:
+    """Partition whose beads sit at rows[j] on runner j: bead_rows inverted."""
+    return component_from_rows([j + p * r for j in range(p) for r in rows[j]])
 
 
 def beta_set(la, beads: int) -> frozenset:
@@ -142,66 +147,5 @@ def decode_config(cfg, p: int) -> tuple:
     # position 0 occupied means runner 0 keeps a bead in row 0
     if height(comps[0]) >= base + offsets[0]:
         base += 1
-    occ = set()
-    for j in range(p):
-        for row in rows_for_component(comps[j], base + offsets[j]):
-            occ.add(j + p * row)
-    return decode(AbacusDisplay(p, len(occ), frozenset(occ)))
-
-
-def parse_config(text: str, p: int | None = None):
-    """Parse runner-config text like '((-,0),(-,0),((1),1),(-,2),((1),0))'.
-
-    A trailing '^k' after an entry repeats it k times; components use the
-    partition text format.  Returns a list of (component, offset) pairs.
-    """
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"config must be parenthesized: {text!r}")
-    body = s[1:-1]
-    entries = []
-    pos = 0
-    while pos < len(body):
-        if body[pos] in ", \t":
-            pos += 1
-            continue
-        if body[pos] != "(":
-            raise ValueError(f"expected '(' at {body[pos:]!r}")
-        depth, start = 0, pos
-        while pos < len(body):
-            if body[pos] == "(":
-                depth += 1
-            elif body[pos] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            pos += 1
-        if depth != 0:
-            raise ValueError(f"unbalanced parentheses in {text!r}")
-        entry = body[start + 1:pos]
-        pos += 1
-        repeat = 1
-        if pos < len(body) and body[pos] == "^":
-            end = pos + 1
-            while end < len(body) and body[end].isdigit():
-                end += 1
-            repeat = int(body[pos + 1:end])
-            pos = end
-        # entry is 'component,offset' where component is '-' or '(...)'
-        entry = entry.strip()
-        if entry.startswith("("):
-            close = entry.index(")")
-            comp = parse_partition(entry[1:close])
-            rest = entry[close + 1:].lstrip()
-        elif entry.startswith("-"):
-            comp = ()
-            rest = entry[1:].lstrip()
-        else:
-            raise ValueError(f"bad component in entry {entry!r}")
-        if not rest.startswith(","):
-            raise ValueError(f"missing offset in entry {entry!r}")
-        offset = int(rest[1:].strip())
-        entries.extend([(comp, offset)] * repeat)
-    if p is not None and len(entries) != p:
-        raise ValueError(f"config has {len(entries)} runners, expected {p}")
-    return entries
+    return from_runner_rows([rows_for_component(comps[j], base + offsets[j])
+                             for j in range(p)], p)

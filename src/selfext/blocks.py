@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 from .partitions import (check_partition, check_regular, height,
                          is_p_regular, partitions_of)
-from .abacus import (bead_rows, component_from_rows, core_and_weight,
-                     core_weight, display, rows_for_component)
+from .abacus import (bead_rows, core_and_weight, core_weight,
+                     from_runner_rows, rows_for_component)
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,9 @@ class BlockId:
     def __post_init__(self):
         core = check_partition(self.core)
         object.__setattr__(self, "core", core)
-        if core_and_weight(core, self.p)[1] != 0:
+        if self.p < 2:
+            raise ValueError(f"p must be at least 2, got {self.p}")
+        if core_weight(core, self.p)[1] != 0:
             raise ValueError(f"{core} is not a {self.p}-core")
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
@@ -53,12 +55,13 @@ def enumerate_block(b: BlockId, regular_only: bool = False) -> list:
     """All partitions with the given core and weight, by distributing the
     weight over the runners of the core's display as quotient components."""
     p, d = b.p, b.weight
-    base = display(b.core, p)  # + d + 1 full rows: position 0 stays occupied
-    counts = [len(rows) + d + 1 for rows in bead_rows(base.occupied, p)]
+    # the core's h + 1 beads and d + 1 full rows: position 0 stays occupied
+    base = bead_rows(rows_for_component(b.core, len(b.core) + 1), p)
+    counts = [len(rows) + d + 1 for rows in base]
     out = []
     for multi in _multipartitions(d, p):
-        la = component_from_rows([j + p * row for j in range(p) for row
-                                  in rows_for_component(multi[j], counts[j])])
+        la = from_runner_rows([rows_for_component(multi[j], counts[j])
+                               for j in range(p)], p)
         if not regular_only or is_p_regular(la, p):
             out.append(la)
     return out
@@ -68,7 +71,9 @@ def is_rouquier(rho, p: int, d: int) -> bool:
     """True iff some display of the core rho has runner bead counts
     r_0 <= ... <= r_{p-1} growing by at least d-1 at each step."""
     rho = check_partition(rho)
-    if core_and_weight(rho, p)[1] != 0:
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    if core_weight(rho, p)[1] != 0:
         raise ValueError(f"{rho} is not a {p}-core")
     if d < 0:
         raise ValueError("weight must be non-negative")

@@ -54,11 +54,6 @@ class Certificate:
     terminal: Rule | None
     status: str  # "CERTIFIED" or "UNKNOWN"
 
-    @property
-    def final(self) -> tuple:
-        """Partition the terminal rule is asserted for."""
-        return self.steps[-1].target if self.steps else self.start
-
     def to_dict(self) -> dict:
         """JSON-ready form with partitions and paths as lists."""
         return {

@@ -7,6 +7,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from importlib import resources
 
 from .partitions import (check_prime, format_partition, is_p_regular,
@@ -190,21 +191,6 @@ def _cmd_enumerate_block(args) -> int:
     return 0
 
 
-def _specht_dict(result) -> dict:
-    return {
-        "partition": list(result.partition),
-        "p": result.p,
-        "irreducible": result.irreducible,
-        "beads": result.beads,
-        "regular_runner": result.regular_runner,
-        "restricted_runner": result.restricted_runner,
-        "sub_regular": _specht_dict(result.sub_regular)
-                       if result.sub_regular else None,
-        "sub_restricted": _specht_dict(result.sub_restricted)
-                          if result.sub_restricted else None,
-    }
-
-
 def _cmd_specht(args) -> int:
     p = check_prime(args.p)
     la = parse_partition(args.partition)
@@ -213,7 +199,7 @@ def _cmd_specht(args) -> int:
     if args.witness and result.beads is not None:
         lines.append(f"beads {result.beads}, runners "
                      f"({result.regular_runner}, {result.restricted_runner})")
-    _emit(_specht_dict(result), "\n".join(lines), args.json)
+    _emit(asdict(result), "\n".join(lines), args.json)
     return 0
 
 

@@ -10,7 +10,7 @@ from itertools import permutations
 from .partitions import (check_partition, check_regular, is_p_regular,
                          is_p_restricted, partitions_of)
 from .abacus import (bead_rows, component_from_rows, core_weight,
-                     rows_for_component)
+                     from_runner_rows, rows_for_component)
 from .bijections import regularize
 from .signatures import remove_normals, signatures
 
@@ -154,7 +154,7 @@ def _block_index(core, w, p):
         for l, la in ((j, alpha), (k, beta)):
             if la:
                 rows[l] = rows_for_component(la, counts[l])
-        nu = component_from_rows(l + p * r for l in range(p) for r in rows[l])
+        nu = from_runner_rows(rows, p)
         mu = regularize(nu, p)
         if index.setdefault(mu, nu) != nu:
             raise RuntimeError(f"irreducible Specht labels {index[mu]} and "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .partitions import (check_partition, height, is_p_regular,
                          partitions_of, size)
-from .abacus import AbacusDisplay, decode, rows_for_component
+from .abacus import from_runner_rows, rows_for_component
 from .signatures import cancel_word, difficult, signatures
 
 
@@ -283,11 +283,10 @@ def realize_config(config, p: int):
             rows = [own[k - (j - span + 1)] if j - span + 1 <= k <= j
                     else below if k < j - span + 1 else above
                     for k in range(p)]
-            beads = sum(len(r) for r in rows)
-            occupied = frozenset(t * p + k for k in range(p) for t in rows[k])
-            if 0 not in occupied:
+            if 0 not in rows[0]:
                 continue
-            la = decode(AbacusDisplay(p, beads, occupied))
+            beads = sum(map(len, rows))
+            la = from_runner_rows(rows, p)
             residues = [(k - beads) % p for k in range(j - span + 2, j + 1)]
             if not is_p_regular(la, p):
                 errors.append(f"j={j}: decoded {la} is {p}-singular")

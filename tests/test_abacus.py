@@ -1,4 +1,4 @@
-"""Tests for abacus displays, runner quotients, and config decoding."""
+"""Tests for abacus displays, runner quotients, and runner-row decoding."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 import oracles
 from selfext.abacus import (
     AbacusDisplay,
+    bead_rows,
     beta_set,
     component_from_rows,
     core_and_weight,
     decode,
     decode_config,
     display,
-    parse_config,
+    from_runner_rows,
     quotient,
     rows_for_component,
 )
@@ -121,8 +122,18 @@ def test_component_rows_round_trip():
         rows_for_component((2, 1), 1)
 
 
+def test_from_runner_rows_inverts_bead_rows():
+    for n in range(13):
+        for la in partitions_of(n):
+            h = len(la)
+            for p in (2, 3, 5, 7):
+                for beads in range(max(h, 1), h + 2 * p + 1):
+                    rows = bead_rows(rows_for_component(la, beads), p)
+                    assert from_runner_rows(rows, p) == la, (la, p, beads)
+
+
 def test_decode_config_example():
-    cfg = parse_config("((-,0),(-,0),((1),1),(-,2),((1),0))")
+    cfg = [((), 0), ((), 0), ((1,), 1), ((), 2), ((1,), 0)]
     assert decode_config(cfg, 5) == (6, 6, 4, 4)
 
 
@@ -134,27 +145,6 @@ def test_decode_config_offsets_shift_components():
 def test_decode_config_runner_count():
     with pytest.raises(ValueError):
         decode_config([((), 0), ((), 0)], 3)
-
-
-def test_parse_config_entries():
-    cfg = parse_config("((-,0),(-,0),((1),1),(-,2),((1),0))")
-    assert cfg == [((), 0), ((), 0), ((1,), 1), ((), 2), ((1,), 0)]
-
-
-def test_parse_config_repeats():
-    assert parse_config("((-,0)^3,((2,1),1))") == [((), 0), ((), 0), ((), 0), ((2, 1), 1)]
-
-
-def test_parse_config_validates_runner_count():
-    with pytest.raises(ValueError):
-        parse_config("((-,0),(-,0))", 3)
-    assert len(parse_config("((-,0)^3)", 3)) == 3
-
-
-def test_parse_config_malformed():
-    for text in ["(-,0)", "((x,0))", "((-,0)", "((-))", "-,0"]:
-        with pytest.raises(ValueError):
-            parse_config(text)
 
 
 @given(partition_strategy(), st.sampled_from([3, 5, 7]))

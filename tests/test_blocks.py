@@ -1,9 +1,11 @@
 """Tests for block labels, block enumeration, and Rouquier/RoCK cores."""
 
+import sys
+
 import pytest
 
 import oracles
-from selfext import blocks
+from selfext import blocks, partitions
 from selfext.abacus import core_and_weight, core_weight
 from selfext.blocks import BlockId, block_of, enumerate_block, is_rock_block, is_rouquier
 from selfext.partitions import is_p_regular, partitions_of
@@ -147,3 +149,30 @@ def test_block_id_keeps_the_normalised_core():
     block = BlockId([1, 0], 2, 3)
     assert block.core == (1,)
     assert block == BlockId((1,), 2, 3) == block_of((4, 2, 1), 3)
+
+
+def test_a_core_is_checked_once(monkeypatch):
+    real, calls = partitions.check_partition, []
+
+    def counting(la):
+        calls.append(la)
+        return real(la)
+
+    # every binding of check_partition in the package, as a tracer sees it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "selfext":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    is_rouquier((), 3, 2)
+    assert calls == [()]
+    BlockId((), 0, 3)
+    assert calls == [(), ()]
+
+
+@pytest.mark.parametrize("p", [1, 0])
+def test_core_checks_reject_p_below_two(p):
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        BlockId((), 0, p)
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        is_rouquier((), p, 2)
