@@ -6,8 +6,7 @@ certificate-producing rule engine."""
 from .partitions import (check_partition, check_regular, dominates,
                          format_partition, is_p_regular, is_p_restricted,
                          parse_partition, partitions_of, transpose)
-from .abacus import (AbacusDisplay, beta_set, core_and_weight, decode,
-                     decode_config, display, quotient)
+from .abacus import core_and_weight, decode_config
 from .signatures import (SignatureReport, e_tilde, epsilon, f_tilde,
                          is_difficult, phi, reflections, signature)
 from .bijections import mullineux, regularize

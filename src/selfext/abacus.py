@@ -1,50 +1,18 @@
-"""Abacus displays on p runners: cores, quotients, weights, runner rows.
+"""The James abacus on p runners, read as runner rows.
 
-A display places beads at the beta-numbers {la_i + N - i : 1 <= i <= N} of a
-partition read with N beads; position q sits on runner q mod p at row q // p.
-Position 0 is always kept occupied (pass to N + p beads when it is not).
+Reading a partition with N beads places them at its beta-numbers
+{la_i + N - i : 1 <= i <= N}; position q sits on runner q mod p at row
+q // p.  Every abacus here is a list of p sorted bead-row tuples, one per
+runner: bead_rows splits beta-numbers into them, from_runner_rows decodes
+them, and rows_for_component / component_from_rows convert between one
+runner's rows and its quotient component.  core_and_weight reads the p-core
+and weight off the same beads.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .partitions import check_partition, height
-
-
-@dataclass(frozen=True)
-class AbacusDisplay:
-    """Bead positions of a partition on p runners."""
-
-    p: int
-    beads: int
-    occupied: frozenset
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be at least 2, got {self.p}")
-        if len(self.occupied) != self.beads:
-            raise ValueError("bead count does not match occupied set")
-        if any(q < 0 for q in self.occupied):
-            raise ValueError("positions must be non-negative")
-        if 0 not in self.occupied:
-            raise ValueError("position 0 must be occupied")
-
-
-@dataclass(frozen=True)
-class RunnerStats:
-    """Per-runner bead counts, quotient components, weights, and node residues."""
-
-    p: int
-    beads: int
-    bead_counts: tuple
-    components: tuple
-    weights: tuple
-    residues: tuple
-
-    @property
-    def weight(self) -> int:
-        return sum(self.weights)
 
 
 def bead_rows(positions, p: int) -> list:
@@ -60,29 +28,6 @@ def from_runner_rows(rows, p: int) -> tuple:
     return component_from_rows([j + p * r for j in range(p) for r in rows[j]])
 
 
-def beta_set(la, beads: int) -> frozenset:
-    """Beta-numbers of la read with the given number of beads."""
-    return frozenset(rows_for_component(check_partition(la), beads))
-
-
-def display(la, p: int, beads: int | None = None) -> AbacusDisplay:
-    """Abacus display of la; extends by p beads if position 0 would be empty."""
-    la = check_partition(la)
-    if beads is None:
-        beads = height(la) + 1
-    if beads < max(height(la), 1):
-        raise ValueError(f"need at least {max(height(la), 1)} beads for {la}")
-    if beads == height(la):  # no part is read as 0, so position 0 is empty
-        beads += p
-    # a partition's beta-set is its bead rows on a single runner
-    return AbacusDisplay(p, beads, frozenset(rows_for_component(la, beads)))
-
-
-def decode(gamma: AbacusDisplay) -> tuple:
-    """Partition encoded by a display: la_k = (k-th largest position) - (N - k)."""
-    return component_from_rows(gamma.occupied)  # a one-runner reading
-
-
 def rows_for_component(component, count: int) -> tuple:
     """Bead rows of a single runner carrying `component` with `count` beads."""
     if count < height(component):
@@ -96,19 +41,6 @@ def component_from_rows(rows) -> tuple:
     rows = sorted(rows)  # the t-th lowest bead gives the part rows[t] - t
     return tuple(rows[t] - t for t in reversed(range(len(rows)))
                  if rows[t] > t)
-
-
-def quotient(gamma: AbacusDisplay) -> RunnerStats:
-    """Per-runner statistics with the display's own runner indexing."""
-    counts, comps, weights = [], [], []
-    for rows in bead_rows(gamma.occupied, gamma.p):
-        comp = component_from_rows(rows)
-        counts.append(len(rows))
-        comps.append(comp)
-        weights.append(sum(comp))
-    residues = tuple((j - gamma.beads) % gamma.p for j in range(gamma.p))
-    return RunnerStats(gamma.p, gamma.beads, tuple(counts), tuple(comps),
-                       tuple(weights), residues)
 
 
 def core_and_weight(la, p: int) -> tuple:
@@ -134,8 +66,9 @@ def core_weight(la, p: int) -> tuple:
 def decode_config(cfg, p: int) -> tuple:
     """Partition of a runner config: p pairs (component, bead-count offset).
 
-    The base bead count is the smallest making every runner viable, then full
-    top rows are added until position 0 is occupied.
+    The base bead count is the smallest making every runner viable; a full
+    top row (one bead per runner) is added when position 0 would be empty, as
+    a decoded configuration always keeps position 0 occupied.
     """
     cfg = list(cfg)
     if len(cfg) != p:

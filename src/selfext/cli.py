@@ -203,19 +203,12 @@ def _cmd_specht(args) -> int:
     return 0
 
 
-def _cmd_mullineux(args) -> int:
+def _cmd_map(args) -> int:
+    """Apply mullineux or regularize, named by the subcommand and looked up
+    at call time."""
     p = check_prime(args.p)
     la = parse_partition(args.partition)
-    out = mullineux(la, p)
-    _emit({"input": list(la), "output": list(out), "p": p},
-          format_partition(out), args.json)
-    return 0
-
-
-def _cmd_regularize(args) -> int:
-    p = check_prime(args.p)
-    la = parse_partition(args.partition)
-    out = regularize(la, p)
+    out = globals()[args.command](la, p)
     _emit({"input": list(la), "output": list(out), "p": p},
           format_partition(out), args.json)
     return 0
@@ -271,13 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--witness", action="store_true",
                      help="show the display and runner pair found")
 
-    cmd = add("mullineux", _cmd_mullineux, help="apply the Mullineux map")
-    cmd.add_argument("partition")
-    cmd.add_argument("--p", type=int, required=True)
-
-    cmd = add("regularize", _cmd_regularize, help="apply regularization")
-    cmd.add_argument("partition")
-    cmd.add_argument("--p", type=int, required=True)
+    for name, text in (("mullineux", "apply the Mullineux map"),
+                       ("regularize", "apply regularization")):
+        cmd = add(name, _cmd_map, help=text)
+        cmd.add_argument("partition")
+        cmd.add_argument("--p", type=int, required=True)
 
     return parser
 

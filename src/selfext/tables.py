@@ -283,7 +283,7 @@ def realize_config(config, p: int):
             rows = [own[k - (j - span + 1)] if j - span + 1 <= k <= j
                     else below if k < j - span + 1 else above
                     for k in range(p)]
-            if 0 not in rows[0]:
+            if 0 not in rows[0]:  # position 0 stays occupied
                 continue
             beads = sum(map(len, rows))
             la = from_runner_rows(rows, p)

@@ -28,8 +28,7 @@ crystal_mullineux (the Mullineux map along good nodes).
 import itertools
 from functools import lru_cache
 
-from selfext.abacus import (bead_rows, component_from_rows, display,
-                            rows_for_component)
+from selfext.abacus import bead_rows, component_from_rows, rows_for_component
 from selfext.bijections import ladder_counts, peel_p_rim, regularize
 from selfext.blocks import block_of, enumerate_block
 from selfext.certifier import REDUCTIONS, TERMINALS
@@ -296,13 +295,13 @@ def difficult_abacus_check(la, p, i):
     sig = signature(la, p, i)
     if sig.epsilon == 0 or sig.phi == 0:
         raise ValueError(f"difficulty pattern needs eps_i, phi_i > 0 at i={i}")
-    gamma = display(la, p)
-    n = gamma.beads
+    n = len(la) + 1
+    beta = set(rows_for_component(la, n))  # one runner's rows are beta-numbers
     row, col = sig.good
     a = col + n - row
     row, col = sig.cogood
     b = (col - 1) + n - row + 1
-    return a == b + p and all(q in gamma.occupied for q in range(b + 1, a - 1))
+    return a == b + p and all(q in beta for q in range(b + 1, a - 1))
 
 
 def node_adjacency_checks(la, p, i):

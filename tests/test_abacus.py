@@ -1,20 +1,15 @@
-"""Tests for abacus displays, runner quotients, and runner-row decoding."""
+"""Tests for runner rows, runner quotients, cores and weights."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from selfext.abacus import (
-    AbacusDisplay,
     bead_rows,
-    beta_set,
     component_from_rows,
     core_and_weight,
-    decode,
     decode_config,
-    display,
     from_runner_rows,
-    quotient,
     rows_for_component,
 )
 from selfext.partitions import partitions_of
@@ -34,63 +29,11 @@ def partition_strategy(draw, max_n=12):
     return tuple(parts)
 
 
-def test_beta_set_values():
-    assert beta_set((4, 2, 1), 3) == frozenset({6, 3, 1})
-    assert beta_set((4, 2, 1), 6) == frozenset({9, 6, 4, 2, 1, 0})
-    assert beta_set((), 3) == frozenset({0, 1, 2})
-
-
-def test_beta_set_needs_enough_beads():
-    with pytest.raises(ValueError):
-        beta_set((4, 2, 1), 2)
-
-
-def test_display_extends_when_origin_empty():
-    gamma = display((4, 2, 1), 3, 3)
-    assert gamma.p == 3
-    assert gamma.beads == 6
-    assert gamma.occupied == frozenset({0, 1, 2, 4, 6, 9})
-
-
-def test_display_keeps_beads_when_origin_occupied():
-    gamma = display((1,), 3, 3)
-    assert gamma.beads == 3
-    assert gamma.occupied == frozenset({0, 1, 3})
-
-
-def test_display_empty_partition():
-    gamma = display((), 3, 3)
-    assert gamma.occupied == frozenset({0, 1, 2})
-
-
-def test_display_default_bead_count():
-    gamma = display((4, 2, 1), 3)
-    assert decode(gamma) == (4, 2, 1)
-
-
-def test_display_rejects_too_few_beads():
-    with pytest.raises(ValueError):
-        display((4, 2, 1), 3, 2)
-
-
-def test_abacus_display_validation():
-    with pytest.raises(ValueError):
-        AbacusDisplay(3, 3, frozenset({1, 2, 3}))  # position 0 empty
-    with pytest.raises(ValueError):
-        AbacusDisplay(3, 2, frozenset({0, 1, 2}))  # bead count mismatch
-    with pytest.raises(ValueError):
-        AbacusDisplay(1, 1, frozenset({0}))  # p too small
-    with pytest.raises(ValueError):
-        AbacusDisplay(3, 2, frozenset({0, -3}))  # negative position
-
-
 def test_quotient_example():
-    stats = quotient(display((4, 2, 1), 3, 3))
-    assert stats.bead_counts == (3, 2, 1)
-    assert stats.components == ((1, 1), (), ())
-    assert stats.weights == (2, 0, 0)
-    assert stats.residues == (0, 1, 2)
-    assert stats.weight == 2
+    # (4, 2, 1) read with 6 beads: positions {0, 1, 2, 4, 6, 9}
+    rows = bead_rows(rows_for_component((4, 2, 1), 6), 3)
+    assert rows == [[0, 2, 3], [0, 1], [0]]
+    assert [component_from_rows(r) for r in rows] == [(1, 1), (), ()]
 
 
 def test_core_and_weight_examples():
@@ -148,24 +91,13 @@ def test_decode_config_runner_count():
 
 
 @given(partition_strategy(), st.sampled_from([3, 5, 7]))
-def test_decode_display_round_trip(la, p):
-    assert decode(display(la, p)) == la
-
-
-@given(partition_strategy(), st.sampled_from([3, 5, 7]))
-def test_extra_bead_rows_are_invariant(la, p):
-    gamma = display(la, p)
-    occ = frozenset(q + p for q in gamma.occupied) | frozenset(range(p))
-    assert decode(AbacusDisplay(p, gamma.beads + p, occ)) == la
-
-
-@given(partition_strategy(), st.sampled_from([3, 5, 7]))
 def test_quotient_weights_sum_to_weight(la, p):
-    gamma = display(la, p)
-    stats = quotient(gamma)
+    beads = len(la) + 1
+    rows = bead_rows(rows_for_component(la, beads), p)
+    weights = [sum(component_from_rows(r)) for r in rows]
     _, weight = core_and_weight(la, p)
-    assert stats.weight == sum(stats.weights) == weight
-    assert sum(stats.bead_counts) == gamma.beads
+    assert sum(weights) == weight
+    assert sum(map(len, rows)) == beads
 
 
 def test_same_core_iff_same_residue_content():

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from selfext.abacus import (
-    AbacusDisplay,
-    beta_set,
-    core_and_weight,
-    quotient,
-)
+from selfext.abacus import core_and_weight
 from selfext.bijections import (
     add_p_rim,
     ladder_counts,
@@ -181,15 +176,17 @@ def test_regularize_properties(la, p):
         assert oracles.dominates(reg, la)
 
 
-def witness_display(la, p, beads):
-    while 0 not in beta_set(la, beads):
+def witness_components(la, p, beads):
+    """Quotient components of la read with `beads` beads, p more at a time
+    until position 0 is occupied, and the bead count used."""
+    while beads <= len(la):
         beads += p
-    return AbacusDisplay(p, beads, beta_set(la, beads))
+    return oracles.runner_data(la, beads, p)[2], beads
 
 
 def test_regularization_empties_restricted_runner():
     # for p-singular la with irreducible Specht module, the regularized
-    # display carries no weight on the non-restricted witness runner
+    # abacus carries no weight on the non-restricted witness runner
     checked = 0
     for n in range(15):
         for la in partitions_of(n):
@@ -199,12 +196,11 @@ def test_regularization_empties_restricted_runner():
             if not res:
                 continue
             checked += 1
-            gamma = witness_display(la, 3, res.beads)
-            stats = quotient(witness_display(regularize(la, 3), 3, gamma.beads))
-            assert stats.components[res.restricted_runner] == ()
+            _, beads = witness_components(la, 3, res.beads)
+            comps, _ = witness_components(regularize(la, 3), 3, beads)
+            assert comps[res.restricted_runner] == ()
     assert checked >= 70
     res = specht_irreducible((6, 1, 1, 1, 1, 1), 5)
-    gamma = witness_display((6, 1, 1, 1, 1, 1), 5, res.beads)
-    stats = quotient(witness_display(regularize((6, 1, 1, 1, 1, 1), 5),
-                                     5, gamma.beads))
-    assert stats.components[res.restricted_runner] == ()
+    _, beads = witness_components((6, 1, 1, 1, 1, 1), 5, res.beads)
+    comps, _ = witness_components(regularize((6, 1, 1, 1, 1, 1), 5), 5, beads)
+    assert comps[res.restricted_runner] == ()

@@ -169,6 +169,23 @@ def test_unknown_result():
     assert not validate(c)
 
 
+def test_first_unknown_of_the_survey():
+    # The first UNKNOWN of the p = 3 survey, at n = 39: the closure under
+    # every reduction has six members and no terminal holds on any of them.
+    la = (11, 7, 7, 5, 4, 3, 1, 1)
+    assert certify(la, 3).status == "UNKNOWN"
+    seen, frontier = {la}, [la]
+    while frontier:
+        frontier = [target for mu in frontier
+                    for edges in certifier.REDUCTIONS.values()
+                    for _, target in edges(mu, 3) if target not in seen]
+        seen.update(frontier)
+    assert seen == {(11, 7, 7, 5, 4, 3, 1, 1), (15, 10, 5, 4, 3, 1, 1),
+                    (11, 8, 7, 5, 4, 3, 1, 1), (16, 10, 5, 4, 3, 1, 1),
+                    (12, 8, 7, 5, 4, 3, 1, 1), (17, 10, 5, 4, 3, 1, 1)}
+    assert oracles.shortest_certificate_length(la, 3, ALL_RULES, 10) is None
+
+
 def test_hand_built_certificates():
     assert validate(Certificate(3, (2, 1), (), Rule("T-WEIGHT"), "CERTIFIED"))
     # |la| = 3 is not below p = 3, so T-SMALL does not apply

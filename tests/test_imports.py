@@ -112,8 +112,8 @@ CHECKS = {"check_partition", "check_regular"}
 def unexported_checks(trees: dict) -> list:
     """(module, function) of each function, method or module-level statement
     that calls check_partition or check_regular although __init__.py does
-    not export it.  Dataclass __post_init__, parse_* and decode_config take
-    user data and may check it."""
+    not export it.  A dataclass __post_init__ takes user data and may check
+    it."""
     exported = exported_names(trees)
     out = []
     for module, tree in sorted(trees.items()):
@@ -124,9 +124,7 @@ def unexported_checks(trees: dict) -> list:
                          if isinstance(node, ast.FunctionDef)]
             for unit in units:
                 name = getattr(unit, "name", "<module>")
-                if (name in exported or name == "__post_init__"
-                        or name.startswith("parse_")
-                        or name == "decode_config"):
+                if name in exported or name == "__post_init__":
                     continue
                 called = {node.func.id for node in ast.walk(unit)
                           if isinstance(node, ast.Call)
@@ -154,6 +152,7 @@ def test_boundary_guard_flags_a_checking_helper():
             "TABLE = {1: lambda la: check_partition(la)}\n"),
     }
     assert unexported_checks(trees) == [("a.py", "helper"), ("a.py", "scale"),
+                                        ("a.py", "parse_word"),
                                         ("a.py", "<module>")]
 
 

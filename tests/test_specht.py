@@ -7,8 +7,7 @@ import pytest
 import oracles
 import selfext
 from selfext import abacus, signatures, specht
-from selfext.abacus import (beta_set, component_from_rows, core_and_weight,
-                            display, quotient)
+from selfext.abacus import core_and_weight
 from selfext.bijections import regularize
 from selfext.blocks import BlockId, enumerate_block
 from selfext.partitions import (
@@ -98,9 +97,7 @@ def test_witness_fields_replay():
             res = specht_irreducible(la, 3)
             if not res or res.beads is None:
                 continue
-            beta = beta_set(la, res.beads)
-            comps = [component_from_rows(sorted(q // 3 for q in beta if q % 3 == j))
-                     for j in range(3)]
+            _, _, comps = oracles.runner_data(la, res.beads, 3)
             j, k = res.regular_runner, res.restricted_runner
             assert all(not comps[l] for l in range(3) if l not in (j, k))
             assert is_p_regular(comps[j], 3)
@@ -251,7 +248,8 @@ def test_preimage_matches_block_scan_and_hook_oracle():
 def test_three_busy_runners_are_reducible():
     for p, nmax, expected in ((3, 20, 457), (5, 18, 70)):
         busy = [la for n in range(nmax + 1) for la in partitions_of(n)
-                if sum(1 for c in quotient(display(la, p)).components if c) > 2]
+                if sum(1 for c in oracles.runner_data(la, len(la) + 1, p)[2]
+                       if c) > 2]
         assert len(busy) == expected, p
         for la in busy:
             assert not oracles.jm_irreducible(la, p), la
@@ -272,8 +270,6 @@ BOUNDARY_CASES = [
     (selfext.dominates, (4, 2, 1), ((3, 3, 1),)),
     (selfext.format_partition, (4, 2, 2, 1), ()),
     (selfext.transpose, (4, 2, 1), ()),
-    (selfext.beta_set, (4, 2, 1), (5,)),
-    (selfext.display, (4, 2, 1), (3,)),
     (selfext.core_and_weight, (4, 2, 1), (3,)),
     (selfext.signature, (4, 2, 1), (3, 0)),
     (selfext.epsilon, (4, 2, 1), (3, 0)),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from selfext.abacus import AbacusDisplay, beta_set, decode, display, quotient, rows_for_component
+from selfext.abacus import from_runner_rows, rows_for_component
 from selfext.partitions import is_p_regular, parse_partition, partitions_of
 from selfext.signatures import is_difficult, signature
 from selfext.tables import (
@@ -169,11 +169,10 @@ def test_local_signature_matches_global_on_embeddings():
                 comp = ()
             rows_by[k] = rows_for_component(comp, counts[k])
         beads = sum(counts)
-        occ = frozenset(t * p + k for k in range(p) for t in rows_by[k])
-        if 0 not in occ:
+        if 0 not in rows_by[0]:
             continue
         done += 1
-        la = decode(AbacusDisplay(p, beads, occ))
+        la = from_runner_rows(rows_by, p)
         i = (j - beads) % p
         glob = signature(la, p, i)
         loc = local_signature(c)
@@ -218,19 +217,14 @@ def test_table1_covers_difficult_pairs():
             for i in range(3):
                 if not is_difficult(la, 3, i):
                     continue
-                base = display(la, 3).beads
                 candidates = []
-                for extra in range(6):
-                    beads = base + extra
-                    occ = beta_set(la, beads)
-                    if 0 not in occ:
-                        continue
+                for beads in range(len(la) + 1, len(la) + 7):
                     j = (i + beads) % 3
                     if j == 0:
                         continue
-                    stats = quotient(AbacusDisplay(3, beads, occ))
-                    left, right = stats.components[j - 1], stats.components[j]
-                    gap = stats.bead_counts[j] - stats.bead_counts[j - 1]
+                    _, rows, comps = oracles.runner_data(la, beads, 3)
+                    left, right = comps[j - 1], comps[j]
+                    gap = len(rows[j]) - len(rows[j - 1])
                     if gap >= 1 and sum(left) + sum(right) <= 7:
                         candidates.append((left, right, gap))
                 if not candidates:
