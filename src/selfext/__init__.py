@@ -8,14 +8,13 @@ from .partitions import (check_partition, check_regular, dominates,
                          parse_partition, partitions_of, transpose)
 from .abacus import core_and_weight, decode_config
 from .signatures import (SignatureReport, e_tilde, epsilon, f_tilde,
-                         is_difficult, phi, reflections, signature)
+                         is_difficult, phi, signature)
 from .bijections import mullineux, regularize
 from .blocks import BlockId, block_of, enumerate_block, is_rock_block, is_rouquier
 from .specht import (specht_irreducible, special_runners,
                      irreducible_specht_preimage, theorem_b_applicable)
 from .certifier import (ALL_RULES, Certificate, Rule, Step, certify,
-                        certificate_from_dict, trick1_targets, trick2_targets,
-                        validate)
+                        certificate_from_dict, validate)
 from .tables import (RunnerPairConfig, RunnerTripleConfig, derive_table1,
                      derive_table2, local_signature, locally_difficult,
                      realize_config, table2_candidates)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 
-from .partitions import check_partition, height
+from .partitions import check_integer, check_partition, height
 
 
 def bead_rows(positions, p: int) -> list:
@@ -74,7 +74,7 @@ def decode_config(cfg, p: int) -> tuple:
     if len(cfg) != p:
         raise ValueError(f"config needs exactly {p} runners, got {len(cfg)}")
     comps = [check_partition(comp) for comp, _ in cfg]
-    offsets = [int(off) for _, off in cfg]
+    offsets = [check_integer(off, "bead-count offset") for _, off in cfg]
     base = max([0] + [height(comp) - off for comp, off in zip(comps, offsets)]
                + [-off for off in offsets])
     # position 0 occupied means runner 0 keeps a bead in row 0

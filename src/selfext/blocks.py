@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import (check_partition, check_regular, height,
-                         is_p_regular, partitions_of)
+from .partitions import (check_integer, check_partition, check_regular,
+                         height, is_p_regular, partitions_of)
 from .abacus import (bead_rows, core_and_weight, core_weight,
                      from_runner_rows, rows_for_component)
 
@@ -24,7 +24,9 @@ class BlockId:
             raise ValueError(f"p must be at least 2, got {self.p}")
         if core_weight(core, self.p)[1] != 0:
             raise ValueError(f"{core} is not a {self.p}-core")
-        if self.weight < 0:
+        weight = check_integer(self.weight, "weight")
+        object.__setattr__(self, "weight", weight)
+        if weight < 0:
             raise ValueError("weight must be non-negative")
 
     @property
@@ -75,6 +77,7 @@ def is_rouquier(rho, p: int, d: int) -> bool:
         raise ValueError(f"p must be at least 2, got {p}")
     if core_weight(rho, p)[1] != 0:
         raise ValueError(f"{rho} is not a {p}-core")
+    d = check_integer(d, "weight")
     if d < 0:
         raise ValueError("weight must be non-negative")
     return _rouquier_counts(rho, p, d)

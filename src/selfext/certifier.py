@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
 from .partitions import (MAX_SIZE, add_node, check_partition, check_prime,
-                         check_regular, height, is_p_regular, remove_node,
-                         size)
+                         check_regular, height, is_p_regular, node_residue,
+                         remove_node, size)
 from .abacus import core_weight
-from .signatures import (add_conormals, difficult, fixed_top_shape,
-                         reflections, remove_normals, signatures)
+from .signatures import add_conormals, difficult, remove_normals, signatures
 from .bijections import mullineux, regularize
 from .blocks import is_rock_block
 from .specht import specht_irreducible, theorem_b_applicable
@@ -104,26 +104,77 @@ def _normalize_rules(enabled_rules) -> frozenset:
     return rules
 
 
-def trick1_targets(la, p: int) -> list:
-    """All (i, mu) with eps_i > 0, la not i-difficult, mu = e~_i^{eps_i} la."""
-    return [(sig.residue, remove_normals(sig, sig.epsilon))
-            for sig in signatures(check_regular(la, p), p)
-            if sig.epsilon > 0 and not difficult(sig)]
+def _reflect_edges(la, p: int, reports) -> list:
+    """R-REFLECT: f~_i^{phi} la when eps_i = 0, or e~_i^{eps} la when
+    phi_i = 0 (the degenerate eps = phi = 0 excluded)."""
+    out = []
+    for sig in reports():
+        if sig.epsilon == 0 and sig.phi > 0:
+            out.append(({"residue": sig.residue}, add_conormals(sig, sig.phi)))
+        elif sig.phi == 0 and sig.epsilon > 0:
+            out.append(({"residue": sig.residue},
+                        remove_normals(sig, sig.epsilon)))
+    return out
 
 
-def trick2_targets(la, p: int) -> list:
-    """All Trick-2 chains of length at most p.
+def _trick1_edges(la, p: int, reports) -> list:
+    """R-TRICK1: e~_i^{eps} la when eps_i > 0 and la is not i-difficult."""
+    return [({"residue": sig.residue}, remove_normals(sig, sig.epsilon))
+            for sig in reports() if sig.epsilon > 0 and not difficult(sig)]
+
+
+def _socle_edges(la, p: int, reports) -> list:
+    """R-SOCLE: the socle embeddings at each residue i, direction "e" or "f".
+
+    The e-move passes to e~_i^{eps} la and is blocked when phi > 0 and adding
+    the (eps+1)-th conormal node of the target breaks p-regularity; the f-move
+    passes to f~_i^{phi} la with the dual blocking condition.
+    """
+    out = []
+    for sig in reports():
+        i, r, s = sig.residue, sig.epsilon, sig.phi
+        if r > 0:
+            mu = remove_normals(sig, r)
+            if s == 0 or is_p_regular(
+                    add_node(mu, signatures(mu, p)[i].conormals[r]), p):
+                out.append(({"residue": i, "direction": "e"}, mu))
+        if s > 0:
+            nu = add_conormals(sig, s)
+            if r == 0 or is_p_regular(
+                    remove_node(nu, signatures(nu, p)[i].normals[s]), p):
+                out.append(({"residue": i, "direction": "f"}, nu))
+    return out
+
+
+def _fixed_top_edges(la, p: int, reports) -> list:
+    """R-FIXEDTOP: la without its good i-node when la = ((a+1)^c, a^{p-2},
+    a-1, ...) with (c, a+1) good and (c+p-1, a) cogood at residue i."""
+    if not la or la[0] < 2:
+        return []
+    a = la[0] - 1
+    c = next(k for k in range(1, len(la) + 1) if k == len(la) or la[k] != la[0])
+    padded = la + (0,) * max(0, c + p - 1 - len(la))
+    if padded[c:c + p - 1] != (a,) * (p - 2) + (a - 1,):
+        return []
+    sig = reports()[node_residue((c, a + 1), p)]
+    if sig.good != (c, a + 1) or sig.cogood != (c + p - 1, a):
+        return []
+    return [({"residue": sig.residue}, remove_node(la, sig.good))]
+
+
+def _trick2_edges(la, p: int, reports) -> list:
+    """R-TRICK2: every chain of length at most p.
 
     A chain walks residues i+1, i+2, ... applying f~^phi while eps stays 0,
     and ends at the first residue i+m (m >= 2) with eps > 0; it is valid when
-    additionally phi > 0 there and the endpoint is not difficult.  Returns
-    (residue path, target) pairs with target = e~^eps of the endpoint; the
-    path lists the stepped residues, its last entry being the endpoint's.
+    additionally phi > 0 there and the endpoint is not difficult.  The target
+    is e~^eps of the endpoint, and the "residues" path lists the stepped
+    residues, its last entry being the endpoint's.
     """
-    reports = signatures(check_regular(la, p), p)
+    first = reports()
     out = []
     for i in range(p):
-        sig = reports[(i + 1) % p]
+        sig = first[(i + 1) % p]
         path = []
         for _ in range(p - 1):
             if sig.epsilon != 0:
@@ -133,47 +184,10 @@ def trick2_targets(la, p: int) -> list:
             sig = signatures(mu, p)[(sig.residue + 1) % p]
             if sig.epsilon > 0:
                 if sig.phi > 0 and not difficult(sig):
-                    out.append((tuple(path) + (sig.residue,),
+                    out.append(({"residues": tuple(path) + (sig.residue,)},
                                 remove_normals(sig, sig.epsilon)))
                 break
     return out
-
-
-def _socle_edges(sig) -> list:
-    """Socle embeddings at the residue i of the report sig: ("e"/"f",
-    target) pairs.
-
-    The e-move passes to e~_i^{eps} la and is blocked when phi > 0 and adding
-    the (eps+1)-th conormal node of the target breaks p-regularity; the f-move
-    passes to f~_i^{phi} la with the dual blocking condition.
-    """
-    p, i = sig.p, sig.residue
-    r, s = sig.epsilon, sig.phi
-    out = []
-    if r > 0:
-        mu = remove_normals(sig, r)
-        ok = True
-        if s > 0:
-            b = signatures(mu, p)[i].conormals[r]
-            ok = is_p_regular(add_node(mu, b), p)
-        if ok:
-            out.append(("e", mu))
-    if s > 0:
-        nu = add_conormals(sig, s)
-        ok = True
-        if r > 0:
-            a = signatures(nu, p)[i].normals[s]
-            ok = is_p_regular(remove_node(nu, a), p)
-        if ok:
-            out.append(("f", nu))
-    return out
-
-
-def _fixed_top_edges(la, p: int) -> list:
-    sig = fixed_top_shape(la, p)
-    if sig is None:
-        return []
-    return [({"residue": sig.residue}, remove_node(la, sig.good))]
 
 
 def _specht_terminal(la, p: int):
@@ -186,19 +200,16 @@ def _specht_terminal(la, p: int):
 # (never store e.g. is_rock_block itself) so that wrappers installed on this
 # module after import, such as a call tracer, see every call.
 #
-# Reductions in search order: edges(la, p) -> [(params, target)].
+# Reductions in search order: edges(la, p, reports) -> [(params, target)],
+# where reports() returns signatures(la, p), walked at most once per
+# expansion and only when a rule reads it.
 REDUCTIONS = {
-    "R-MULLINEUX": lambda la, p: [({}, mullineux(la, p))],
-    "R-REFLECT": lambda la, p: [({"residue": i}, mu)
-                                for i, mu in reflections(la, p)],
-    "R-TRICK1": lambda la, p: [({"residue": i}, mu)
-                               for i, mu in trick1_targets(la, p)],
-    "R-SOCLE": lambda la, p: [({"residue": sig.residue, "direction": d}, mu)
-                              for sig in signatures(la, p)
-                              for d, mu in _socle_edges(sig)],
+    "R-MULLINEUX": lambda la, p, reports: [({}, mullineux(la, p))],
+    "R-REFLECT": _reflect_edges,
+    "R-TRICK1": _trick1_edges,
+    "R-SOCLE": _socle_edges,
     "R-FIXEDTOP": _fixed_top_edges,
-    "R-TRICK2": lambda la, p: [({"residues": path}, mu)
-                               for path, mu in trick2_targets(la, p)],
+    "R-TRICK2": _trick2_edges,
 }
 
 # Terminal criteria in cost order: find(la, p) -> params, or None.
@@ -255,8 +266,9 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
         node, path = queue.popleft()
         if len(path) == max_steps:
             continue
+        reports = cache(lambda: signatures(node, p))
         for tag, edges in reductions:
-            for params, target in edges(node, p):
+            for params, target in edges(node, p, reports):
                 if target in seen:
                     continue
                 seen.add(target)
@@ -301,7 +313,8 @@ def validate(cert: Certificate) -> bool:
             la = chain[-1]
             if check_partition(step.source) != la or not is_p_regular(la, p):
                 return False
-            edges = REDUCTIONS[step.rule.tag](la, p)
+            edges = REDUCTIONS[step.rule.tag](la, p,
+                                              lambda: signatures(la, p))
             if (step.rule.params, step.target) not in edges:
                 return False
             chain.append(step.target)  # equal to a tuple the rule built

@@ -37,6 +37,18 @@ def check_partition(la) -> tuple:
     return parts
 
 
+def check_integer(value, name: str) -> int:
+    """value as an int; ValueError for a number int() would truncate or
+    cannot read (2.7, inf, nan), as check_partition refuses such parts."""
+    try:
+        number = int(value)
+    except (OverflowError, ValueError):
+        number = None
+    if number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def check_prime(p: int) -> int:
     """p if it is a prime of at most MAX_SIZE, else ValueError; the bound
     comes first, so a huge p never reaches the trial division."""

@@ -1,4 +1,4 @@
-"""i-signatures, normal/conormal nodes, crystal operators, difficulty, reflections.
+"""i-signatures, normal/conormal nodes, crystal operators, difficulty.
 
 The signed word of residue-i addable (+) and removable (-) nodes is read in
 increasing content order, which is the order of a walk along the rim from the
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .partitions import (add_node, check_partition, check_regular,
-                         is_p_regular, node_residue, remove_node)
+                         is_p_regular, remove_node)
 
 
 @dataclass(frozen=True)
@@ -136,33 +136,3 @@ def is_difficult(la, p: int, i: int) -> bool:
     """eps_i, phi_i > 0 and removing the good while adding the cogood node
     destroys p-regularity."""
     return difficult(signatures(check_regular(la, p), p)[i % p])
-
-
-def reflections(la, p: int) -> list:
-    """All (i, mu) with mu = f~_i^{phi_i} la when eps_i = 0, or
-    mu = e~_i^{eps_i} la when phi_i = 0 (degenerate eps = phi = 0 excluded)."""
-    out = []
-    for sig in signatures(check_regular(la, p), p):
-        if sig.epsilon == 0 and sig.phi > 0:
-            out.append((sig.residue, add_conormals(sig, sig.phi)))
-        elif sig.phi == 0 and sig.epsilon > 0:
-            out.append((sig.residue, remove_normals(sig, sig.epsilon)))
-    return out
-
-
-def fixed_top_shape(la, p: int):
-    """The residue-i signature report of la when la = ((a+1)^c, a^{p-2},
-    a-1, ...) with (c, a+1) good and (c+p-1, a) cogood at residue i; None
-    otherwise.  la is a p-regular tuple and p > 2, as the caller has
-    checked."""
-    if not la or la[0] < 2:
-        return None
-    a = la[0] - 1
-    c = next(k for k in range(1, len(la) + 1) if k == len(la) or la[k] != la[0])
-    padded = la + (0,) * max(0, c + p - 1 - len(la))
-    if padded[c:c + p - 1] != (a,) * (p - 2) + (a - 1,):
-        return None
-    sig = signatures(la, p)[node_residue((c, a + 1), p)]
-    if sig.good != (c, a + 1) or sig.cogood != (c + p - 1, a):
-        return None
-    return sig

@@ -18,11 +18,11 @@ Table I loop that judged every candidate by its full local signature;
 signature_by_residue, the signed word of one residue filtered from all
 nodes and sorted, which the library replaced by one walk along the rim;
 shortest_certificate_length, the certifier's search redone as level sets
-over its rule tables; and, on top of selfext.signature,
-difficult_abacus_check (the abacus form of difficulty),
-node_adjacency_checks (singularity of normal/conormal moves against node
-steps), add_all_addable (adding every i-addable node at once) and
-crystal_mullineux (the Mullineux map along good nodes).
+over its rule tables (rule_edges reads one rule's edges off the table);
+and, on top of selfext.signature, difficult_abacus_check (the abacus form
+of difficulty), node_adjacency_checks (singularity of normal/conormal
+moves against node steps), add_all_addable (adding every i-addable node
+at once) and crystal_mullineux (the Mullineux map along good nodes).
 """
 
 import itertools
@@ -36,7 +36,7 @@ from selfext.partitions import (add_node, addable_nodes, height, is_p_regular,
                                 is_p_restricted, node_residue, remove_node,
                                 removable_nodes)
 from selfext.signatures import (SignatureReport, cancel_word, e_tilde, epsilon,
-                                f_tilde, signature)
+                                f_tilde, signature, signatures)
 from selfext.specht import SpechtResult
 from selfext.tables import RunnerPairConfig, locally_difficult
 
@@ -589,6 +589,11 @@ def block_index_by_displays(core, w, p):
 # certificate search
 
 
+def rule_edges(tag, la, p):
+    """The (params, target) edges of the REDUCTIONS rule tag from la."""
+    return REDUCTIONS[tag](la, p, lambda: signatures(la, p))
+
+
 def shortest_certificate_length(la, p, rules, k):
     """Fewest steps of a certificate for la over the enabled rules, if at
     most k, else None.
@@ -599,13 +604,13 @@ def shortest_certificate_length(la, p, rules, k):
     member of level d.
     """
     finds = [find for tag, find in TERMINALS.items() if tag in rules]
-    gens = [edges for tag, edges in REDUCTIONS.items() if tag in rules]
+    tags = [tag for tag in REDUCTIONS if tag in rules]
     level, seen = {la}, {la}
     for d in range(k + 1):
         if any(find(mu, p) is not None for mu in level for find in finds):
             return d
-        level = {target for mu in level for edges in gens
-                 for _, target in edges(mu, p)} - seen
+        level = {target for mu in level for tag in tags
+                 for _, target in rule_edges(tag, mu, p)} - seen
         seen |= level
     return None
 

@@ -90,6 +90,14 @@ def test_decode_config_runner_count():
         decode_config([((), 0), ((), 0)], 3)
 
 
+def test_decode_config_refuses_a_non_integral_offset():
+    # int() once read the offset 1.7 as 1
+    with pytest.raises(ValueError, match="offset must be an integer"):
+        decode_config([((1,), 0), ((), 1.7), ((), 2)], 3)
+    assert (decode_config([((1,), 0), ((), 1.0), ((), 2)], 3)
+            == decode_config([((1,), 0), ((), 1), ((), 2)], 3))
+
+
 @given(partition_strategy(), st.sampled_from([3, 5, 7]))
 def test_quotient_weights_sum_to_weight(la, p):
     beads = len(la) + 1

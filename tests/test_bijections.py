@@ -16,7 +16,7 @@ from selfext.bijections import (
     regularize,
 )
 from selfext.partitions import is_p_regular, partitions_of
-from selfext.signatures import epsilon, fixed_top_shape, phi
+from selfext.signatures import epsilon, phi
 from selfext.specht import specht_irreducible
 
 
@@ -84,7 +84,8 @@ def test_mullineux_first_row_on_fixed_top_shapes():
     for p in (3, 5):
         for n in range(15):
             for la in partitions_of(n):
-                if not is_p_regular(la, p) or fixed_top_shape(la, p) is None:
+                if (not is_p_regular(la, p)
+                        or not oracles.rule_edges("R-FIXEDTOP", la, p)):
                     continue
                 seen += 1
                 a = la[0] - 1

@@ -32,6 +32,14 @@ def test_block_id_validation():
     assert BlockId((1,), 2, 3).n == 7
 
 
+def test_block_id_refuses_a_non_integral_weight():
+    # a weight of 2.5 once gave n == 7.5 and a TypeError in enumerate_block
+    for weight in (2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            BlockId((), weight, 3)
+    assert BlockId((), 2.0, 3) == BlockId((), 2, 3)
+
+
 def test_same_block_iff_same_residue_content():
     p = 3
     for n in range(11):
@@ -85,6 +93,13 @@ def test_is_rouquier_rejects_non_core():
         is_rouquier((3,), 3, 2)
     with pytest.raises(ValueError):
         is_rouquier((), 3, -1)
+
+
+def test_is_rouquier_refuses_a_non_integral_weight():
+    # d = 2.5 once answered False
+    with pytest.raises(ValueError, match="weight must be an integer"):
+        is_rouquier((), 3, 2.5)
+    assert is_rouquier((), 3, 2.0) == is_rouquier((), 3, 2)
 
 
 def test_is_rouquier_matches_full_bead_scan():

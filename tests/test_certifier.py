@@ -11,23 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from selfext import certifier, partitions
+from selfext import certifier, partitions, signatures as signatures_module
 from selfext.abacus import core_and_weight, decode_config
 from selfext.certifier import (
     ALL_RULES,
     Certificate,
     Rule,
     Step,
-    _socle_edges,
     certificate_from_dict,
     certify,
-    trick1_targets,
-    trick2_targets,
     validate,
 )
 from selfext.partitions import MAX_SIZE, is_p_regular, partitions_of, size
-from selfext.signatures import (e_tilde, f_tilde, is_difficult, signature,
-                                 signatures)
+from selfext.signatures import e_tilde, f_tilde, is_difficult, signature
 
 # SHA-256 of the JSON list of every certificate test_rule_subset_searches
 # builds; a change to any search result under any rule subset moves it.
@@ -80,10 +76,20 @@ def test_certify_without_weight_height_rock():
     assert validate(c)
 
 
+def trick1(la, p):
+    return [(params["residue"], mu)
+            for params, mu in oracles.rule_edges("R-TRICK1", la, p)]
+
+
+def trick2(la, p):
+    return [(params["residues"], mu)
+            for params, mu in oracles.rule_edges("R-TRICK2", la, p)]
+
+
 def test_trick1_examples():
-    assert trick1_targets((4, 2, 1), 3) == []
-    assert trick1_targets((2, 2, 1), 3) == [(1, (2, 2))]
-    assert trick1_targets((), 3) == []
+    assert trick1((4, 2, 1), 3) == []
+    assert trick1((2, 2, 1), 3) == [(1, (2, 2))]
+    assert trick1((), 3) == []
 
 
 def test_trick1_monotonicity():
@@ -92,7 +98,7 @@ def test_trick1_monotonicity():
             if not is_p_regular(la, 3):
                 continue
             weight = core_and_weight(la, 3)[1]
-            for _, mu in trick1_targets(la, 3):
+            for _, mu in trick1(la, 3):
                 assert size(mu) < size(la)
                 assert core_and_weight(mu, 3)[1] <= weight
 
@@ -102,13 +108,14 @@ def test_trick1_targets_are_socle_edges():
         for la in partitions_of(n):
             if not is_p_regular(la, 3):
                 continue
-            for i, mu in trick1_targets(la, 3):
-                assert ("e", mu) in _socle_edges(signatures(la, 3)[i])
+            socle = oracles.rule_edges("R-SOCLE", la, 3)
+            for i, mu in trick1(la, 3):
+                assert ({"residue": i, "direction": "e"}, mu) in socle
 
 
 def test_trick2_hand_chain():
     assert decode_config([((), 0), ((1, 1), 1), ((), 0)], 3) == (4, 2, 1)
-    chains = trick2_targets((4, 2, 1), 3)
+    chains = trick2((4, 2, 1), 3)
     assert ((2, 0), (3, 2, 2)) in chains
 
 
@@ -118,7 +125,7 @@ def test_trick2_loaded_runner_configs():
                    (5, [((), 0), ((1, 1, 1), 2), ((), 2), ((), 1), ((), 0)])]:
         la = decode_config(cfg, p)
         assert is_p_regular(la, p)
-        chains = trick2_targets(la, p)
+        chains = trick2(la, p)
         assert chains
         for path, target in chains:
             assert len(path) >= 2
@@ -127,7 +134,7 @@ def test_trick2_loaded_runner_configs():
 
 
 def test_trick2_empty():
-    assert trick2_targets((), 3) == []
+    assert trick2((), 3) == []
 
 
 def test_trick2_self_validation_sweep():
@@ -135,7 +142,7 @@ def test_trick2_self_validation_sweep():
         for la in partitions_of(n):
             if not is_p_regular(la, 3):
                 continue
-            for path, target in trick2_targets(la, 3):
+            for path, target in trick2(la, 3):
                 replay_trick2(la, 3, path, target)
 
 
@@ -169,21 +176,39 @@ def test_unknown_result():
     assert not validate(c)
 
 
-def test_first_unknown_of_the_survey():
-    # The first UNKNOWN of the p = 3 survey, at n = 39: the closure under
-    # every reduction has six members and no terminal holds on any of them.
-    la = (11, 7, 7, 5, 4, 3, 1, 1)
-    assert certify(la, 3).status == "UNKNOWN"
-    seen, frontier = {la}, [la]
-    while frontier:
-        frontier = [target for mu in frontier
-                    for edges in certifier.REDUCTIONS.values()
-                    for _, target in edges(mu, 3) if target not in seen]
-        seen.update(frontier)
-    assert seen == {(11, 7, 7, 5, 4, 3, 1, 1), (15, 10, 5, 4, 3, 1, 1),
-                    (11, 8, 7, 5, 4, 3, 1, 1), (16, 10, 5, 4, 3, 1, 1),
-                    (12, 8, 7, 5, 4, 3, 1, 1), (17, 10, 5, 4, 3, 1, 1)}
-    assert oracles.shortest_certificate_length(la, 3, ALL_RULES, 10) is None
+# The UNKNOWN components of the p = 3 surveys up to n = 45, the first at
+# n = 39: each is closed under every reduction, and no terminal holds on any
+# member.  The last case is two lone Mullineux twin pairs.
+@pytest.mark.parametrize("components", [
+    pytest.param([[(11, 7, 7, 5, 4, 3, 1, 1), (15, 10, 5, 4, 3, 1, 1),
+                   (11, 8, 7, 5, 4, 3, 1, 1), (16, 10, 5, 4, 3, 1, 1),
+                   (12, 8, 7, 5, 4, 3, 1, 1), (17, 10, 5, 4, 3, 1, 1)]],
+                 id="11,7,7,5,4,3,1,1"),
+    pytest.param([[(14, 9, 8, 7, 2, 2), (18, 7, 6, 5, 3, 3),
+                   (14, 9, 8, 7, 2, 2, 1), (18, 7, 6, 5, 3, 3, 1),
+                   (14, 9, 8, 7, 2, 2, 1, 1), (18, 7, 6, 5, 3, 3, 2)]],
+                 id="14,9,8,7,2,2"),
+    pytest.param([[(12, 10, 8, 7, 6, 1, 1), (17, 6, 5, 5, 4, 3, 3, 2),
+                   (13, 10, 8, 7, 6, 1, 1), (17, 6, 6, 5, 4, 3, 3, 2),
+                   (14, 10, 8, 7, 6, 1, 1), (18, 6, 6, 5, 4, 3, 3, 2)]],
+                 id="12,10,8,7,6,1,1"),
+    pytest.param([[(13, 8, 7, 6, 4, 3, 2, 1, 1), (16, 9, 6, 5, 4, 2, 2, 1)],
+                  [(13, 11, 10, 9, 1, 1), (22, 6, 6, 5, 4, 2)]],
+                 id="twin-pairs"),
+])
+def test_first_unknown_of_the_survey(components):
+    for component in components:
+        la = component[0]
+        assert certify(la, 3).status == "UNKNOWN"
+        seen, frontier = {la}, [la]
+        while frontier:
+            frontier = [target for mu in frontier
+                        for tag in certifier.REDUCTIONS
+                        for _, target in oracles.rule_edges(tag, mu, 3)
+                        if target not in seen]
+            seen.update(frontier)
+        assert seen == set(component)
+        assert oracles.shortest_certificate_length(la, 3, ALL_RULES, 10) is None
 
 
 def test_hand_built_certificates():
@@ -443,6 +468,32 @@ def test_a_weight_root_is_checked_once_by_certify_and_once_by_validate(
     assert cert.terminal.tag == "T-WEIGHT" and not cert.steps
     assert validate(cert)
     assert calls == [(4, 2, 1), (4, 2, 1)]
+
+
+def test_certify_walks_each_expanded_partition_once(monkeypatch):
+    real, walks, expanded = signatures_module.signatures, Counter(), Counter()
+
+    def counting(la, p):
+        walks[la] += 1
+        return real(la, p)
+
+    # every binding of signatures in the package, as a tracer sees it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "selfext":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    reflect = certifier.REDUCTIONS["R-REFLECT"]
+
+    def expanding(la, *rest):
+        expanded[la] += 1
+        return reflect(la, *rest)
+
+    monkeypatch.setitem(certifier.REDUCTIONS, "R-REFLECT", expanding)
+    c = certify((6, 3), 3, enabled_rules={"T-SMALL", "R-REFLECT", "R-TRICK1"})
+    assert len(c.steps) == 4 and len(expanded) > 4
+    # R-REFLECT and R-TRICK1 read the reports of one walk per expansion
+    assert walks == expanded and set(walks.values()) == {1}
 
 
 def test_inputs_above_max_size_return_at_once():

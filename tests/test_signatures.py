@@ -1,4 +1,5 @@
-"""Tests for i-signatures, crystal operators, difficulty, and reflections."""
+"""Tests for i-signatures, crystal operators, difficulty, and the reflection
+and fixed-top rules that read them."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +17,8 @@ from selfext.signatures import (
     e_tilde,
     epsilon,
     f_tilde,
-    fixed_top_shape,
     is_difficult,
     phi,
-    reflections,
     signature,
     signatures,
 )
@@ -185,17 +184,20 @@ def test_node_adjacency_sweep_consistent():
 
 
 def test_reflections_examples():
-    assert reflections((), 3) == [(0, (1,))]
-    assert reflections((4, 2, 1), 3) == [(1, (5, 2, 1)), (2, (4, 2, 2))]
-    assert reflections((2, 1), 3) == [(0, (2, 2))]
+    assert oracles.rule_edges("R-REFLECT", (), 3) == [({"residue": 0}, (1,))]
+    assert oracles.rule_edges("R-REFLECT", (4, 2, 1), 3) == [
+        ({"residue": 1}, (5, 2, 1)), ({"residue": 2}, (4, 2, 2))]
+    assert oracles.rule_edges("R-REFLECT", (2, 1), 3) == [
+        ({"residue": 0}, (2, 2))]
 
 
 def test_fixed_top_shape_examples():
-    assert fixed_top_shape((2, 1), 3) == signature((2, 1), 3, 1)
-    assert fixed_top_shape((3, 2, 1), 3) == signature((3, 2, 1), 3, 2)
-    assert fixed_top_shape((3, 1), 3) is None
-    assert fixed_top_shape((4, 2, 1), 3) is None
-    assert fixed_top_shape((), 3) is None
+    # the good node of the fixed-top residue is removed
+    for la, i in (((2, 1), 1), ((3, 2, 1), 2)):
+        assert oracles.rule_edges("R-FIXEDTOP", la, 3) == [
+            ({"residue": i}, e_tilde(la, 3, i))]
+    for la in ((3, 1), (4, 2, 1), ()):
+        assert oracles.rule_edges("R-FIXEDTOP", la, 3) == []
 
 
 @given(regular_partition_strategy(3), st.integers(min_value=0, max_value=2))
@@ -267,7 +269,7 @@ def test_reflections_land_in_same_weight():
             if not is_p_regular(la, 3):
                 continue
             wt = core_and_weight(la, 3)[1]
-            for i, mu in reflections(la, 3):
-                sig = signature(la, 3, i)
+            for params, mu in oracles.rule_edges("R-REFLECT", la, 3):
+                sig = signature(la, 3, params["residue"])
                 assert sig.epsilon == 0 or sig.phi == 0
                 assert core_and_weight(mu, 3)[1] == wt

@@ -277,7 +277,6 @@ BOUNDARY_CASES = [
     (selfext.e_tilde, (4, 2, 1), (3, 0)),
     (selfext.f_tilde, (4, 2, 1), (3, 1)),
     (selfext.is_difficult, (4, 2, 1), (3, 0)),
-    (selfext.reflections, (4, 2, 1), (3,)),
     (selfext.mullineux, (4, 2, 1), (3,)),
     (selfext.regularize, (2, 1, 1, 1), (3,)),
     (selfext.block_of, (4, 2, 1), (3,)),
@@ -288,8 +287,6 @@ BOUNDARY_CASES = [
     (selfext.irreducible_specht_preimage, (2, 1), (3,)),
     (selfext.theorem_b_applicable, (4, 2, 1), (3,)),
     (selfext.certify, (4, 2, 1), (3,)),
-    (selfext.trick1_targets, (4, 2, 1), (3,)),
-    (selfext.trick2_targets, (4, 2, 1), (3,)),
 ]
 
 
