@@ -80,11 +80,11 @@ def is_rouquier(rho, p: int, d: int) -> bool:
     d = check_integer(d, "weight")
     if d < 0:
         raise ValueError("weight must be non-negative")
-    return _rouquier_counts(rho, p, d)
+    return rouquier_counts(rho, p, d)
 
 
-def _rouquier_counts(core, p: int, d: int) -> bool:
-    """is_rouquier's bead-count test on a core it has already checked."""
+def rouquier_counts(core, p: int, d: int) -> bool:
+    """is_rouquier's bead-count test on a p-core, a normalised tuple."""
     # p more beads add one to every runner and keep the differences, so
     # p consecutive bead counts cover every display.
     low = max(height(core), 1)
@@ -99,4 +99,4 @@ def _rouquier_counts(core, p: int, d: int) -> bool:
 def is_rock_block(la, p: int) -> bool:
     """True iff la lies in a block with a d-Rouquier core, d = wt(la)."""
     core, d = core_weight(check_regular(la, p), p)
-    return _rouquier_counts(core, p, d)
+    return rouquier_counts(core, p, d)

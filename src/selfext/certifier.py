@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
 
-from .partitions import (MAX_SIZE, add_node, check_partition, check_prime,
-                         check_regular, height, is_p_regular, node_residue,
-                         remove_node, size)
+from .partitions import (MAX_SIZE, add_node, check_integer, check_partition,
+                         check_prime, check_regular, height, is_p_regular,
+                         node_residue, remove_node, size)
 from .abacus import core_weight
 from .signatures import add_conormals, difficult, remove_normals, signatures
 from .bijections import mullineux, regularize
-from .blocks import is_rock_block
-from .specht import specht_irreducible, theorem_b_applicable
+from .blocks import rouquier_counts
+from .specht import first_specht_witness, specht_irreducible
 
 WEIGHT_BOUND = 7    # terminal T-WEIGHT: block weight at most 7
 HEIGHT_MARGIN = 2   # terminal T-HEIGHT: height at most p + 2
@@ -108,7 +107,7 @@ def _reflect_edges(la, p: int, reports) -> list:
     """R-REFLECT: f~_i^{phi} la when eps_i = 0, or e~_i^{eps} la when
     phi_i = 0 (the degenerate eps = phi = 0 excluded)."""
     out = []
-    for sig in reports():
+    for sig in reports(la, p):
         if sig.epsilon == 0 and sig.phi > 0:
             out.append(({"residue": sig.residue}, add_conormals(sig, sig.phi)))
         elif sig.phi == 0 and sig.epsilon > 0:
@@ -120,7 +119,8 @@ def _reflect_edges(la, p: int, reports) -> list:
 def _trick1_edges(la, p: int, reports) -> list:
     """R-TRICK1: e~_i^{eps} la when eps_i > 0 and la is not i-difficult."""
     return [({"residue": sig.residue}, remove_normals(sig, sig.epsilon))
-            for sig in reports() if sig.epsilon > 0 and not difficult(sig)]
+            for sig in reports(la, p)
+            if sig.epsilon > 0 and not difficult(sig)]
 
 
 def _socle_edges(la, p: int, reports) -> list:
@@ -131,17 +131,17 @@ def _socle_edges(la, p: int, reports) -> list:
     passes to f~_i^{phi} la with the dual blocking condition.
     """
     out = []
-    for sig in reports():
+    for sig in reports(la, p):
         i, r, s = sig.residue, sig.epsilon, sig.phi
         if r > 0:
             mu = remove_normals(sig, r)
             if s == 0 or is_p_regular(
-                    add_node(mu, signatures(mu, p)[i].conormals[r]), p):
+                    add_node(mu, reports(mu, p)[i].conormals[r]), p):
                 out.append(({"residue": i, "direction": "e"}, mu))
         if s > 0:
             nu = add_conormals(sig, s)
             if r == 0 or is_p_regular(
-                    remove_node(nu, signatures(nu, p)[i].normals[s]), p):
+                    remove_node(nu, reports(nu, p)[i].normals[s]), p):
                 out.append(({"residue": i, "direction": "f"}, nu))
     return out
 
@@ -156,7 +156,7 @@ def _fixed_top_edges(la, p: int, reports) -> list:
     padded = la + (0,) * max(0, c + p - 1 - len(la))
     if padded[c:c + p - 1] != (a,) * (p - 2) + (a - 1,):
         return []
-    sig = reports()[node_residue((c, a + 1), p)]
+    sig = reports(la, p)[node_residue((c, a + 1), p)]
     if sig.good != (c, a + 1) or sig.cogood != (c + p - 1, a):
         return []
     return [({"residue": sig.residue}, remove_node(la, sig.good))]
@@ -171,7 +171,7 @@ def _trick2_edges(la, p: int, reports) -> list:
     is e~^eps of the endpoint, and the "residues" path lists the stepped
     residues, its last entry being the endpoint's.
     """
-    first = reports()
+    first = reports(la, p)
     out = []
     for i in range(p):
         sig = first[(i + 1) % p]
@@ -181,7 +181,7 @@ def _trick2_edges(la, p: int, reports) -> list:
                 break
             mu = add_conormals(sig, sig.phi)
             path.append(sig.residue)
-            sig = signatures(mu, p)[(sig.residue + 1) % p]
+            sig = reports(mu, p)[(sig.residue + 1) % p]
             if sig.epsilon > 0:
                 if sig.phi > 0 and not difficult(sig):
                     out.append(({"residues": tuple(path) + (sig.residue,)},
@@ -190,19 +190,26 @@ def _trick2_edges(la, p: int, reports) -> list:
     return out
 
 
-def _specht_terminal(la, p: int):
-    hit = theorem_b_applicable(la, p)
+def _rock_terminal(la, p: int, reports):
+    """T-ROCK: la lies in a block whose core is d-Rouquier, d = wt(la)."""
+    core, d = core_weight(la, p)
+    return {} if rouquier_counts(core, p, d) else None
+
+
+def _specht_terminal(la, p: int, reports):
+    """T-SPECHT: some e~_i^{eps} la has an irreducible-Specht preimage."""
+    hit = first_specht_witness(reports(la, p), p)
     return None if hit is None else {"residue": hit[0], "witness": hit[1]}
 
 
 # Each rule is defined once, here; certify walks the tables in order and
-# validate replays against them.  Entries call through the module globals
-# (never store e.g. is_rock_block itself) so that wrappers installed on this
-# module after import, such as a call tracer, see every call.
+# validate replays against them.  Every entry takes (la, p, reports), where
+# reports is signatures or a memo of it, read for la and for the partitions
+# R-SOCLE and R-TRICK2 look ahead to.  Entries call through the module
+# globals (never store e.g. mullineux itself) so that wrappers installed
+# later, such as a call tracer, see every call.
 #
-# Reductions in search order: edges(la, p, reports) -> [(params, target)],
-# where reports() returns signatures(la, p), walked at most once per
-# expansion and only when a rule reads it.
+# Reductions in search order: edges(la, p, reports) -> [(params, target)].
 REDUCTIONS = {
     "R-MULLINEUX": lambda la, p, reports: [({}, mullineux(la, p))],
     "R-REFLECT": _reflect_edges,
@@ -212,13 +219,14 @@ REDUCTIONS = {
     "R-TRICK2": _trick2_edges,
 }
 
-# Terminal criteria in cost order: find(la, p) -> params, or None.
+# Terminal criteria in cost order: find(la, p, reports) -> params, or None.
 TERMINALS = {
-    "T-SMALL": lambda la, p: {} if size(la) < p else None,
-    "T-WEIGHT": lambda la, p:
+    "T-SMALL": lambda la, p, reports: {} if size(la) < p else None,
+    "T-WEIGHT": lambda la, p, reports:
         {} if core_weight(la, p)[1] <= WEIGHT_BOUND else None,
-    "T-HEIGHT": lambda la, p: {} if height(la) <= p + HEIGHT_MARGIN else None,
-    "T-ROCK": lambda la, p: {} if is_rock_block(la, p) else None,
+    "T-HEIGHT": lambda la, p, reports:
+        {} if height(la) <= p + HEIGHT_MARGIN else None,
+    "T-ROCK": _rock_terminal,
     "T-SPECHT": _specht_terminal,
 }
 
@@ -235,13 +243,15 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     a partition's terminals are checked once, when it is first reached (the
     root first), and the search stops at the first hit.  Returns an UNKNOWN
     certificate with no steps when no certificate of at most max_steps steps
-    exists.  p must be a prime above 2, and la at most MAX_SIZE boxes.
+    exists.  p must be a prime above 2, la at most MAX_SIZE boxes and
+    max_steps a positive integer.  One search walks each partition once.
     """
     if check_prime(p) == 2:
         raise ValueError("the rule engine needs p > 2")
     la = check_regular(la, p)
     if size(la) > MAX_SIZE:
         raise ValueError(f"partition exceeds {MAX_SIZE} boxes")
+    max_steps = check_integer(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     rules = _normalize_rules(enabled_rules)
@@ -250,9 +260,17 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     reductions = [(tag, edges) for tag, edges in REDUCTIONS.items()
                   if tag in rules]
 
+    walked = {}
+
+    def reports(mu, p):  # signatures, one walk per partition and search
+        walk = walked.get(mu)
+        if walk is None:
+            walk = walked[mu] = signatures(mu, p)
+        return walk
+
     def terminal(node):
         for tag, find in terminals:
-            params = find(node, p)
+            params = find(node, p, reports)
             if params is not None:
                 return Rule(tag, params)
         return None
@@ -266,7 +284,6 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
         node, path = queue.popleft()
         if len(path) == max_steps:
             continue
-        reports = cache(lambda: signatures(node, p))
         for tag, edges in reductions:
             for params, target in edges(node, p, reports):
                 if target in seen:
@@ -283,7 +300,7 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
 def _specht_witness_holds(params: dict, la, p: int) -> bool:
     """T-SPECHT replay by its witness alone: regularize(nu) is the residue's
     e~^eps image of la and S^nu is irreducible.  Re-running the search's
-    theorem_b_applicable would build the irreducible-Specht index of the
+    first_specht_witness would build the irreducible-Specht index of the
     block of every residue's image up to the witness's."""
     if set(params) != {"residue", "witness"}:
         return False
@@ -300,8 +317,9 @@ def validate(cert: Certificate) -> bool:
     a start of at most MAX_SIZE boxes, every step linked, acyclic and among
     the edges its rule generates from its source (exactly those params), and
     the terminal criterion holding for the final partition with exactly the
-    params the search would record (a T-SPECHT witness of at most MAX_SIZE
-    boxes)."""
+    params the search would record.  T-SPECHT is the exception: any residue
+    whose witness (of at most MAX_SIZE boxes) holds is accepted, although
+    the search records the first such residue, since one suffices."""
     try:
         p = check_prime(cert.p)
         if p == 2 or cert.status != "CERTIFIED" or cert.terminal is None:
@@ -313,8 +331,7 @@ def validate(cert: Certificate) -> bool:
             la = chain[-1]
             if check_partition(step.source) != la or not is_p_regular(la, p):
                 return False
-            edges = REDUCTIONS[step.rule.tag](la, p,
-                                              lambda: signatures(la, p))
+            edges = REDUCTIONS[step.rule.tag](la, p, signatures)
             if (step.rule.params, step.target) not in edges:
                 return False
             chain.append(step.target)  # equal to a tuple the rule built
@@ -324,6 +341,6 @@ def validate(cert: Certificate) -> bool:
         tag, params = cert.terminal.tag, cert.terminal.params
         if tag == "T-SPECHT":
             return _specht_witness_holds(params, la, p)
-        return TERMINALS[tag](la, p) == params
+        return TERMINALS[tag](la, p, signatures) == params
     except (ValueError, KeyError, IndexError, TypeError):
         return False

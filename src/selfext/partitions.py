@@ -3,7 +3,8 @@
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the trivial partition of 0.  Nodes are 1-based (row, col) pairs.
 Functions the package exports pass their input through check_partition once;
-the helpers below them (remove_node, add_node, ...) take such tuples as given.
+the helpers below them take such tuples as given, and remove_node/add_node
+take a node that a walk along the rim produced, checking nothing.
 """
 from __future__ import annotations
 
@@ -154,44 +155,17 @@ def node_residue(node, p: int) -> int:
     return (col - row) % p
 
 
-def removable_nodes(la) -> list:
-    """Nodes whose removal leaves a partition, ordered by row ascending."""
-    out = []
-    for k in range(len(la)):
-        below = la[k + 1] if k + 1 < len(la) else 0
-        if la[k] > below:
-            out.append((k + 1, la[k]))
-    return out
-
-
-def addable_nodes(la) -> list:
-    """Nodes whose addition gives a partition, ordered by row ascending."""
-    out = [(1, la[0] + 1)] if la else [(1, 1)]
-    for k in range(1, len(la)):
-        if la[k - 1] > la[k]:
-            out.append((k + 1, la[k] + 1))
-    if la:
-        out.append((len(la) + 1, 1))
-    return out
-
-
 def remove_node(la, node) -> tuple:
-    """Partition with the given removable node deleted."""
-    row, col = node
-    if (row, col) not in removable_nodes(la):
-        raise ValueError(f"node {node} is not removable from {la}")
+    """Partition with the given removable node deleted (not checked)."""
     parts = list(la)
-    parts[row - 1] -= 1
+    parts[node[0] - 1] -= 1
     return tuple(parts[:-1] if parts[-1] == 0 else parts)
 
 
 def add_node(la, node) -> tuple:
-    """Partition with the given addable node attached."""
-    row, col = node
-    if (row, col) not in addable_nodes(la):
-        raise ValueError(f"node {node} is not addable to {la}")
+    """Partition with the given addable node attached (not checked)."""
     parts = list(la) + [0]
-    parts[row - 1] += 1
+    parts[node[0] - 1] += 1
     return tuple(parts if parts[-1] else parts[:-1])
 
 

@@ -174,14 +174,19 @@ def irreducible_specht_preimage(mu, p: int):
     return _block_index(*core_weight(mu, p), p).get(mu)
 
 
-def theorem_b_applicable(la, p: int):
-    """First (i, nu) with nu an irreducible-Specht preimage of e~_i^{eps_i} la;
-    None when no residue works."""
-    if p <= 2:
-        raise ValueError("needs p > 2")
-    for sig in signatures(check_regular(la, p), p):
+def first_specht_witness(reports, p: int):
+    """theorem_b_applicable on the signature reports of a p-regular la."""
+    for sig in reports:
         mu = remove_normals(sig, sig.epsilon)  # p-regular, as la is
         nu = _block_index(*core_weight(mu, p), p).get(mu)
         if nu is not None:
             return sig.residue, nu
     return None
+
+
+def theorem_b_applicable(la, p: int):
+    """First (i, nu) with nu an irreducible-Specht preimage of e~_i^{eps_i} la;
+    None when no residue works."""
+    if p <= 2:
+        raise ValueError("needs p > 2")
+    return first_specht_witness(signatures(check_regular(la, p), p), p)

@@ -32,9 +32,8 @@ from selfext.abacus import bead_rows, component_from_rows, rows_for_component
 from selfext.bijections import ladder_counts, peel_p_rim, regularize
 from selfext.blocks import block_of, enumerate_block
 from selfext.certifier import REDUCTIONS, TERMINALS
-from selfext.partitions import (add_node, addable_nodes, height, is_p_regular,
-                                is_p_restricted, node_residue, remove_node,
-                                removable_nodes)
+from selfext.partitions import (add_node, height, is_p_regular,
+                                is_p_restricted, node_residue, remove_node)
 from selfext.signatures import (SignatureReport, cancel_word, e_tilde, epsilon,
                                 f_tilde, signature, signatures)
 from selfext.specht import SpechtResult
@@ -78,6 +77,27 @@ def dominates(la, mu):
         if total_la < total_mu:
             return False
     return True
+
+
+def removable_nodes(la):
+    """Nodes whose removal leaves a partition, ordered by row ascending."""
+    out = []
+    for k in range(len(la)):
+        below = la[k + 1] if k + 1 < len(la) else 0
+        if la[k] > below:
+            out.append((k + 1, la[k]))
+    return out
+
+
+def addable_nodes(la):
+    """Nodes whose addition gives a partition, ordered by row ascending."""
+    out = [(1, la[0] + 1)] if la else [(1, 1)]
+    for k in range(1, len(la)):
+        if la[k - 1] > la[k]:
+            out.append((k + 1, la[k] + 1))
+    if la:
+        out.append((len(la) + 1, 1))
+    return out
 
 
 def hook_lengths(la):
@@ -591,7 +611,7 @@ def block_index_by_displays(core, w, p):
 
 def rule_edges(tag, la, p):
     """The (params, target) edges of the REDUCTIONS rule tag from la."""
-    return REDUCTIONS[tag](la, p, lambda: signatures(la, p))
+    return REDUCTIONS[tag](la, p, signatures)
 
 
 def shortest_certificate_length(la, p, rules, k):
@@ -607,7 +627,8 @@ def shortest_certificate_length(la, p, rules, k):
     tags = [tag for tag in REDUCTIONS if tag in rules]
     level, seen = {la}, {la}
     for d in range(k + 1):
-        if any(find(mu, p) is not None for mu in level for find in finds):
+        if any(find(mu, p, signatures) is not None
+               for mu in level for find in finds):
             return d
         level = {target for mu in level for tag in tags
                  for _, target in rule_edges(tag, mu, p)} - seen

@@ -153,6 +153,12 @@ def test_certify_error_cases():
         certify((1, 1, 1), 3)
     with pytest.raises(ValueError):
         certify((2, 1), 3, max_steps=0)
+    # 2.0 reads as 2 steps, but 1.5 is refused, not read as "at most 2"
+    rules = {"T-SMALL", "T-ROCK", "R-MULLINEUX", "R-SOCLE", "R-TRICK2"}
+    assert len(certify((4, 2, 1), 3, rules, max_steps=2.0).steps) == 2
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            certify((4, 2, 1), 3, rules, max_steps=bad)
     with pytest.raises(ValueError):
         certify((2, 1), 3, enabled_rules={"T-BOGUS"})
 
@@ -259,8 +265,8 @@ def test_certify_computes_each_twin_once(monkeypatch):
         assert la in failed, la
         return real_twin(la, p)
 
-    def small(la, p):
-        params = real_small(la, p)
+    def small(la, p, reports):
+        params = real_small(la, p, reports)
         if params is None:
             failed.add(la)
         return params
@@ -450,6 +456,15 @@ def test_non_integral_parts_are_refused():
     assert validate(certificate_from_dict(data)) is False
 
 
+def patch_every_binding(monkeypatch, real, replacement):
+    """Replace every binding of real in the package, as a tracer sees it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "selfext":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_a_weight_root_is_checked_once_by_certify_and_once_by_validate(
         monkeypatch):
     real, calls = partitions.check_partition, []
@@ -458,12 +473,7 @@ def test_a_weight_root_is_checked_once_by_certify_and_once_by_validate(
         calls.append(la)
         return real(la)
 
-    # every binding of check_partition in the package, as a tracer sees it
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "selfext":
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    patch_every_binding(monkeypatch, real, counting)
     cert = certify((4, 2, 1), 3)
     assert cert.terminal.tag == "T-WEIGHT" and not cert.steps
     assert validate(cert)
@@ -477,12 +487,7 @@ def test_certify_walks_each_expanded_partition_once(monkeypatch):
         walks[la] += 1
         return real(la, p)
 
-    # every binding of signatures in the package, as a tracer sees it
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "selfext":
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    patch_every_binding(monkeypatch, real, counting)
     reflect = certifier.REDUCTIONS["R-REFLECT"]
 
     def expanding(la, *rest):
@@ -494,6 +499,61 @@ def test_certify_walks_each_expanded_partition_once(monkeypatch):
     assert len(c.steps) == 4 and len(expanded) > 4
     # R-REFLECT and R-TRICK1 read the reports of one walk per expansion
     assert walks == expanded and set(walks.values()) == {1}
+
+
+# A root that T-SPECHT certifies, and a root whose search expands every
+# member of its UNKNOWN closure (test_first_unknown_of_the_survey): 6
+# members and 12 partitions that R-SOCLE and R-TRICK2 look ahead to.
+WALKED_ROOTS = [(10, 5, 4, 3, 1, 1), (11, 7, 7, 5, 4, 3, 1, 1)]
+
+
+@pytest.mark.parametrize("la, status, walked", [
+    (WALKED_ROOTS[0], "CERTIFIED", 1), (WALKED_ROOTS[1], "UNKNOWN", 18)],
+    ids=["specht-root", "unknown"])
+def test_certify_walks_each_partition_once(monkeypatch, la, status, walked):
+    real, walks = signatures_module.signatures, Counter()
+
+    def counting(mu, p):
+        walks[mu] += 1
+        return real(mu, p)
+
+    patch_every_binding(monkeypatch, real, counting)
+    assert certify(la, 3).status == status
+    # terminals, reductions and look-ahead share one walk per partition
+    assert la in walks and len(walks) == walked
+    assert set(walks.values()) == {1}
+
+
+@pytest.mark.parametrize("la", WALKED_ROOTS, ids=["specht-root", "unknown"])
+def test_certify_checks_only_the_root(monkeypatch, la):
+    real, callers = partitions.check_partition, Counter()
+
+    def counting(mu):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "check_regular":
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return real(mu)
+
+    patch_every_binding(monkeypatch, real, counting)
+    certify(la, 3)
+    # mullineux and regularize are exported names the search still calls
+    assert callers["certify"] == 1
+    assert set(callers) <= {"certify", "mullineux", "regularize"}
+
+
+def test_validate_accepts_any_specht_residue_whose_witness_holds():
+    c = certify((3,), 3, enabled_rules={"T-SPECHT"})
+    assert c.terminal == Rule("T-SPECHT", {"residue": 0, "witness": (3,)})
+
+    def specht(params):
+        return validate(Certificate(3, (3,), (), Rule("T-SPECHT", params),
+                                    "CERTIFIED"))
+
+    # eps_1 = 0, so e~_1^0 (3) = (3) = (3)^R, and S^(3) is irreducible
+    assert specht({"residue": 1, "witness": (3,)})
+    assert not specht({"residue": 1, "witness": (2, 1)})
+    assert not specht({"residue": 2, "witness": (3,)})
 
 
 def test_inputs_above_max_size_return_at_once():

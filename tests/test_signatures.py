@@ -6,13 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from selfext.abacus import core_and_weight
-from selfext.partitions import (
-    addable_nodes,
-    is_p_regular,
-    node_residue,
-    partitions_of,
-    removable_nodes,
-)
+from selfext.partitions import is_p_regular, node_residue, partitions_of
 from selfext.signatures import (
     e_tilde,
     epsilon,
@@ -244,8 +238,10 @@ def test_phi_minus_epsilon_content_formula(la):
 def test_prime_counts_sum_to_node_counts(la):
     p = 3
     reports = [signature(la, p, i) for i in range(p)]
-    assert sum(rep.epsilon_prime for rep in reports) == len(removable_nodes(la))
-    assert sum(rep.phi_prime for rep in reports) == len(addable_nodes(la))
+    assert sum(rep.epsilon_prime for rep in reports) == \
+        len(oracles.removable_nodes(la))
+    assert sum(rep.phi_prime for rep in reports) == \
+        len(oracles.addable_nodes(la))
 
 
 @given(regular_partition_strategy(3), st.integers(min_value=0, max_value=2))
