@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 
-from .partitions import check_integer, check_partition, height
+from .partitions import check_p, check_partition, height
 
 
 def bead_rows(positions, p: int) -> list:
@@ -45,10 +45,7 @@ def component_from_rows(rows) -> tuple:
 
 def core_and_weight(la, p: int) -> tuple:
     """(p-core, weight) of la."""
-    la = check_partition(la)
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    return core_weight(la, p)
+    return core_weight(check_partition(la), check_p(p))
 
 
 def core_weight(la, p: int) -> tuple:
@@ -62,23 +59,3 @@ def core_weight(la, p: int) -> tuple:
     core = [j + p * t for j in range(p) for t in range(count[j])]  # pushed up
     return component_from_rows(core), moves
 
-
-def decode_config(cfg, p: int) -> tuple:
-    """Partition of a runner config: p pairs (component, bead-count offset).
-
-    The base bead count is the smallest making every runner viable; a full
-    top row (one bead per runner) is added when position 0 would be empty, as
-    a decoded configuration always keeps position 0 occupied.
-    """
-    cfg = list(cfg)
-    if len(cfg) != p:
-        raise ValueError(f"config needs exactly {p} runners, got {len(cfg)}")
-    comps = [check_partition(comp) for comp, _ in cfg]
-    offsets = [check_integer(off, "bead-count offset") for _, off in cfg]
-    base = max([0] + [height(comp) - off for comp, off in zip(comps, offsets)]
-               + [-off for off in offsets])
-    # position 0 occupied means runner 0 keeps a bead in row 0
-    if height(comps[0]) >= base + offsets[0]:
-        base += 1
-    return from_runner_rows([rows_for_component(comps[j], base + offsets[j])
-                             for j in range(p)], p)

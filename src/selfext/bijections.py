@@ -1,7 +1,8 @@
 """The Mullineux involution (p-rim symbol algorithm) and ladder regularization."""
 from __future__ import annotations
 
-from .partitions import check_partition, check_regular, height, is_p_regular
+from .partitions import (check_p, check_partition, check_regular, height,
+                         is_p_regular)
 
 
 def _rim_rows(la):
@@ -94,6 +95,7 @@ def add_p_rim(mu, p: int, a: int, s: int):
 
 def mullineux(la, p: int) -> tuple:
     """Image of la under the Mullineux involution (sign-twist of simples)."""
+    p = check_p(p)
     columns = p_rim_symbol(check_regular(la, p), p)
     out = ()
     for a, r in reversed(columns):
@@ -114,9 +116,7 @@ def ladder_counts(la, p: int) -> dict:
 
 def regularize(la, p: int) -> tuple:
     """Slide nodes up their ladders: the p-regular partition la^R >= la."""
-    la = check_partition(la)
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
+    la, p = check_partition(la), check_p(p)
     filled = set()
     for ell, k in ladder_counts(la, p).items():
         # ladder positions from the top: c = c_max, c_max-1, ..., 1

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import (check_integer, check_partition, check_regular,
-                         height, is_p_regular, partitions_of)
-from .abacus import (bead_rows, core_and_weight, core_weight,
-                     from_runner_rows, rows_for_component)
+from .partitions import (check_integer, check_p, check_partition,
+                         check_regular, height, is_p_regular, partitions_of)
+from .abacus import bead_rows, core_weight, from_runner_rows, rows_for_component
 
 
 @dataclass(frozen=True)
@@ -18,12 +17,11 @@ class BlockId:
     p: int
 
     def __post_init__(self):
-        core = check_partition(self.core)
+        core, p = check_partition(self.core), check_p(self.p)
         object.__setattr__(self, "core", core)
-        if self.p < 2:
-            raise ValueError(f"p must be at least 2, got {self.p}")
-        if core_weight(core, self.p)[1] != 0:
-            raise ValueError(f"{core} is not a {self.p}-core")
+        object.__setattr__(self, "p", p)
+        if core_weight(core, p)[1] != 0:
+            raise ValueError(f"{core} is not a {p}-core")
         weight = check_integer(self.weight, "weight")
         object.__setattr__(self, "weight", weight)
         if weight < 0:
@@ -32,12 +30,6 @@ class BlockId:
     @property
     def n(self) -> int:
         return sum(self.core) + self.p * self.weight
-
-
-def block_of(la, p: int) -> BlockId:
-    """Block label of la."""
-    core, weight = core_and_weight(la, p)
-    return BlockId(core, weight, p)
 
 
 def _multipartitions(d: int, parts: int):
@@ -72,15 +64,8 @@ def enumerate_block(b: BlockId, regular_only: bool = False) -> list:
 def is_rouquier(rho, p: int, d: int) -> bool:
     """True iff some display of the core rho has runner bead counts
     r_0 <= ... <= r_{p-1} growing by at least d-1 at each step."""
-    rho = check_partition(rho)
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    if core_weight(rho, p)[1] != 0:
-        raise ValueError(f"{rho} is not a {p}-core")
-    d = check_integer(d, "weight")
-    if d < 0:
-        raise ValueError("weight must be non-negative")
-    return rouquier_counts(rho, p, d)
+    block = BlockId(rho, d, p)  # rho a p-core, d a weight, as for a label
+    return rouquier_counts(block.core, block.p, block.weight)
 
 
 def rouquier_counts(core, p: int, d: int) -> bool:
@@ -98,5 +83,6 @@ def rouquier_counts(core, p: int, d: int) -> bool:
 
 def is_rock_block(la, p: int) -> bool:
     """True iff la lies in a block with a d-Rouquier core, d = wt(la)."""
+    p = check_p(p)
     core, d = core_weight(check_regular(la, p), p)
     return rouquier_counts(core, p, d)

@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .partitions import (MAX_SIZE, add_node, check_integer, check_partition,
-                         check_prime, check_regular, height, is_p_regular,
-                         node_residue, remove_node, size)
+                         check_prime, height, is_p_regular, node_residue,
+                         remove_node, size)
 from .abacus import core_weight
 from .signatures import add_conormals, difficult, remove_normals, signatures
 from .bijections import mullineux, regularize
@@ -246,9 +246,10 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     exists.  p must be a prime above 2, la at most MAX_SIZE boxes and
     max_steps a positive integer.  One search walks each partition once.
     """
-    if check_prime(p) == 2:
-        raise ValueError("the rule engine needs p > 2")
-    la = check_regular(la, p)
+    p = check_prime(p, 3)
+    la = check_partition(la)
+    if not is_p_regular(la, p):  # check_regular would check p again
+        raise ValueError(f"{la} is not {p}-regular")
     if size(la) > MAX_SIZE:
         raise ValueError(f"partition exceeds {MAX_SIZE} boxes")
     max_steps = check_integer(max_steps, "max_steps")
@@ -321,8 +322,8 @@ def validate(cert: Certificate) -> bool:
     whose witness (of at most MAX_SIZE boxes) holds is accepted, although
     the search records the first such residue, since one suffices."""
     try:
-        p = check_prime(cert.p)
-        if p == 2 or cert.status != "CERTIFIED" or cert.terminal is None:
+        p = check_prime(cert.p, 3)
+        if cert.status != "CERTIFIED" or cert.terminal is None:
             return False
         chain = [check_partition(cert.start)]
         if size(chain[0]) > MAX_SIZE:

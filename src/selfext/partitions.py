@@ -2,9 +2,10 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the trivial partition of 0.  Nodes are 1-based (row, col) pairs.
-Functions the package exports pass their input through check_partition once;
-the helpers below them take such tuples as given, and remove_node/add_node
-take a node that a walk along the rim produced, checking nothing.
+Functions the package exports pass their input through check_partition, and
+p through check_p, once; the helpers below them take such tuples and ints as
+given, and remove_node/add_node take a node that a walk along the rim
+produced, checking nothing.
 """
 from __future__ import annotations
 
@@ -50,12 +51,22 @@ def check_integer(value, name: str) -> int:
     return number
 
 
-def check_prime(p: int) -> int:
-    """p if it is a prime of at most MAX_SIZE, else ValueError; the bound
-    comes first, so a huge p never reaches the trial division."""
+def check_p(p, least: int = 2) -> int:
+    """p as an int, read like a part by check_integer (3.0 is 3; 2.5 and "3"
+    are refused); ValueError when it is below least."""
+    p = check_integer(p, "p")
+    if p < least:
+        raise ValueError(f"p must be at least {least}, got {p}")
+    return p
+
+
+def check_prime(p, least: int = 2) -> int:
+    """check_p(p, least), refused unless it is a prime of at most MAX_SIZE
+    (the bound first, so a huge p never reaches the trial division)."""
+    p = check_p(p, least)
     if p > MAX_SIZE:
         raise ValueError(f"p must be at most {MAX_SIZE}, got {p}")
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be prime, got {p}")
     return p
 
@@ -116,9 +127,10 @@ def is_p_regular(la, p: int) -> bool:
 
 
 def check_regular(la, p: int) -> tuple:
-    """check_partition(la), then raise ValueError unless it is p-regular."""
+    """check_partition(la), then raise ValueError unless p passes check_p and
+    la is p-regular."""
     la = check_partition(la)
-    if not is_p_regular(la, p):
+    if not is_p_regular(la, check_p(p)):
         raise ValueError(f"{la} is not {p}-regular")
     return la
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .partitions import (add_node, check_partition, check_regular,
-                         is_p_regular, remove_node)
+from .partitions import (add_node, check_integer, check_p, check_partition,
+                         check_regular, is_p_regular, remove_node)
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,8 @@ def signatures(la, p: int) -> list:
 
 def signature(la, p: int, i: int) -> SignatureReport:
     """Residue-i signature report of la."""
-    return signatures(check_partition(la), p)[i % p]
-
-
-def epsilon(la, p, i) -> int:
-    return signature(la, p, i).epsilon
-
-
-def phi(la, p, i) -> int:
-    return signature(la, p, i).phi
+    la, p = check_partition(la), check_p(p)
+    return signatures(la, p)[check_integer(i, "i") % p]
 
 
 def remove_normals(sig: SignatureReport, r: int) -> tuple:
@@ -108,19 +101,21 @@ def add_conormals(sig: SignatureReport, r: int) -> tuple:
 
 def e_tilde(la, p: int, i: int, r: int = 1):
     """Remove the r bottom-most normal i-nodes; None if r exceeds epsilon_i."""
-    la = check_regular(la, p)
+    p = check_p(p)
+    la, r = check_regular(la, p), check_integer(r, "r")
     if r < 0:
         raise ValueError("r must be non-negative")
-    sig = signatures(la, p)[i % p]
+    sig = signatures(la, p)[check_integer(i, "i") % p]
     return None if r > sig.epsilon else remove_normals(sig, r)
 
 
 def f_tilde(la, p: int, i: int, r: int = 1):
     """Add the r top-most conormal i-nodes; None if r exceeds phi_i."""
-    la = check_regular(la, p)
+    p = check_p(p)
+    la, r = check_regular(la, p), check_integer(r, "r")
     if r < 0:
         raise ValueError("r must be non-negative")
-    sig = signatures(la, p)[i % p]
+    sig = signatures(la, p)[check_integer(i, "i") % p]
     return None if r > sig.phi else add_conormals(sig, r)
 
 
@@ -135,4 +130,6 @@ def difficult(sig: SignatureReport) -> bool:
 def is_difficult(la, p: int, i: int) -> bool:
     """eps_i, phi_i > 0 and removing the good while adding the cogood node
     destroys p-regularity."""
-    return difficult(signatures(check_regular(la, p), p)[i % p])
+    p = check_p(p)
+    la = check_regular(la, p)
+    return difficult(signatures(la, p)[check_integer(i, "i") % p])

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .partitions import (check_partition, check_regular, is_p_regular,
-                         is_p_restricted, partitions_of)
+from .partitions import (check_p, check_partition, check_regular,
+                         is_p_regular, is_p_restricted, partitions_of)
 from .abacus import (bead_rows, component_from_rows, core_weight,
                      from_runner_rows, rows_for_component)
 from .bijections import regularize
@@ -89,21 +89,7 @@ def _irreducible(la, p):
 
 def specht_irreducible(la, p: int) -> SpechtResult:
     """Whether the Specht module labeled by la is irreducible (p > 2)."""
-    if p <= 2:
-        raise ValueError("the irreducibility criterion needs p > 2")
-    return _irreducible(check_partition(la), p)
-
-
-def special_runners(la, p: int):
-    """(non-restricted runner, non-regular runner) of an irreducible-Specht
-    label; each is None when the corresponding property holds (cores: both)."""
-    result = specht_irreducible(la, p)
-    la = result.partition
-    if not result:
-        raise ValueError(f"S^{la} is not irreducible at p={p}")
-    j = result.regular_runner if not is_p_restricted(la, p) else None
-    k = result.restricted_runner if not is_p_regular(la, p) else None
-    return j, k
+    return _irreducible(check_partition(la), check_p(p, 3))
 
 
 @lru_cache(maxsize=1024)
@@ -168,9 +154,8 @@ def irreducible_specht_preimage(mu, p: int):
     Such a nu is unique for p > 2 and lies in mu's block; the answer is read
     from that block's index of irreducible Specht labels, built once per
     block in a bounded cache."""
+    p = check_p(p, 3)
     mu = check_regular(mu, p)
-    if p <= 2:
-        raise ValueError("the irreducibility criterion needs p > 2")
     return _block_index(*core_weight(mu, p), p).get(mu)
 
 
@@ -187,6 +172,5 @@ def first_specht_witness(reports, p: int):
 def theorem_b_applicable(la, p: int):
     """First (i, nu) with nu an irreducible-Specht preimage of e~_i^{eps_i} la;
     None when no residue works."""
-    if p <= 2:
-        raise ValueError("needs p > 2")
+    p = check_p(p, 3)
     return first_specht_witness(signatures(check_regular(la, p), p), p)

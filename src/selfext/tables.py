@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .partitions import (check_partition, height, is_p_regular,
-                         partitions_of, size)
+from .partitions import (check_integer, check_p, check_partition, height,
+                         is_p_regular, partitions_of, size)
 from .abacus import from_runner_rows, rows_for_component
 from .signatures import cancel_word, difficult, signatures
 
@@ -28,8 +28,10 @@ class RunnerPairConfig:
     def __post_init__(self):
         object.__setattr__(self, "left", check_partition(self.left))
         object.__setattr__(self, "right", check_partition(self.right))
-        if not isinstance(self.gap, int) or self.gap < 1:
-            raise ValueError(f"gap must be a positive integer, got {self.gap!r}")
+        gap = check_integer(self.gap, "gap")
+        if gap < 1:
+            raise ValueError(f"gap must be positive, got {gap}")
+        object.__setattr__(self, "gap", gap)
 
     @property
     def weight(self) -> int:
@@ -50,9 +52,11 @@ class RunnerTripleConfig:
         object.__setattr__(self, "left", check_partition(self.left))
         object.__setattr__(self, "middle", check_partition(self.middle))
         object.__setattr__(self, "right", check_partition(self.right))
-        for g in (self.gap1, self.gap2):
-            if not isinstance(g, int) or g < 1:
-                raise ValueError(f"gaps must be positive integers, got {g!r}")
+        for name in ("gap1", "gap2"):
+            gap = check_integer(getattr(self, name), name)
+            if gap < 1:
+                raise ValueError(f"{name} must be positive, got {gap}")
+            object.__setattr__(self, name, gap)
 
     @property
     def weight(self) -> int:
@@ -62,10 +66,6 @@ class RunnerTripleConfig:
     def gaps(self) -> tuple:
         """Gaps measured from the left runner: (g1, g1 + g2)."""
         return (self.gap1, self.gap1 + self.gap2)
-
-    def pairs(self) -> tuple:
-        return (RunnerPairConfig(self.left, self.middle, self.gap1),
-                RunnerPairConfig(self.middle, self.right, self.gap2))
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,7 @@ def derive_table1(max_weight: int) -> list:
     Deterministic order: (weight, gap descending, right component, left
     component); max_weight above 7 is outside the verified range and refused.
     """
+    max_weight = check_integer(max_weight, "max_weight")
     if not 0 <= max_weight <= 7:
         raise ValueError(f"max_weight must be in 0..7, got {max_weight}")
     comps = [tuple(partitions_of(k)) for k in range(max_weight + 1)]
@@ -230,17 +231,15 @@ def realize_config(config, p: int):
     runners' own bead rows.  Returns a p-regular partition difficult at the
     configured residue(s); raises if no placement at this p works.
     """
-    if p < 3:
-        raise ValueError("need p >= 3 to host a runner configuration")
+    p = check_p(p, 3)
     if isinstance(config, RunnerPairConfig):
         comps, spread = (config.left, config.right), (config.gap,)
-        span = 2
     elif isinstance(config, RunnerTripleConfig):
         comps, spread = (config.left, config.middle, config.right), \
                         (config.gap1, config.gap2)
-        span = 3
     else:
         raise TypeError(f"expected a pair or triple config, got {config!r}")
+    span = len(comps)
 
     base = sum(size(c) for c in comps) + sum(spread) + 2
     own = [rows_for_component(comps[k], base + sum(spread[:k]))

@@ -28,14 +28,15 @@ at once) and crystal_mullineux (the Mullineux map along good nodes).
 import itertools
 from functools import lru_cache
 
-from selfext.abacus import bead_rows, component_from_rows, rows_for_component
+from selfext.abacus import (bead_rows, component_from_rows, core_and_weight,
+                            rows_for_component)
 from selfext.bijections import ladder_counts, peel_p_rim, regularize
-from selfext.blocks import block_of, enumerate_block
+from selfext.blocks import BlockId, enumerate_block
 from selfext.certifier import REDUCTIONS, TERMINALS
 from selfext.partitions import (add_node, height, is_p_regular,
                                 is_p_restricted, node_residue, remove_node)
-from selfext.signatures import (SignatureReport, cancel_word, e_tilde, epsilon,
-                                f_tilde, signature, signatures)
+from selfext.signatures import (SignatureReport, cancel_word, e_tilde, f_tilde,
+                                signature, signatures)
 from selfext.specht import SpechtResult
 from selfext.tables import RunnerPairConfig, locally_difficult
 
@@ -419,7 +420,7 @@ def crystal_mullineux(la, p):
     the empty partition, then M(la) = f~_{-i_1} ... f~_{-i_n} of it."""
     path = []
     while la:
-        i = next(i for i in range(p) if epsilon(la, p, i))
+        i = next(i for i in range(p) if signature(la, p, i).epsilon)
         la = e_tilde(la, p, i)
         path.append(i)
     for i in reversed(path):
@@ -434,7 +435,8 @@ def crystal_mullineux(la, p):
 def block_scan_preimage(mu, p):
     """Every nu with nu^R = mu, found by regularizing each member of mu's
     block, in block-enumeration order."""
-    return [nu for nu in enumerate_block(block_of(mu, p)) if regularize(nu, p) == mu]
+    block = BlockId(*core_and_weight(mu, p), p)
+    return [nu for nu in enumerate_block(block) if regularize(nu, p) == mu]
 
 
 def ladder_preimage(mu, p: int) -> list:

@@ -8,7 +8,6 @@ from selfext.abacus import (
     bead_rows,
     component_from_rows,
     core_and_weight,
-    decode_config,
     from_runner_rows,
     rows_for_component,
 )
@@ -75,27 +74,6 @@ def test_from_runner_rows_inverts_bead_rows():
                     assert from_runner_rows(rows, p) == la, (la, p, beads)
 
 
-def test_decode_config_example():
-    cfg = [((), 0), ((), 0), ((1,), 1), ((), 2), ((1,), 0)]
-    assert decode_config(cfg, 5) == (6, 6, 4, 4)
-
-
-def test_decode_config_offsets_shift_components():
-    assert decode_config([((1, 1), 0), ((), 0), ((), 0)], 3) == (1, 1, 1, 1, 1, 1)
-    assert decode_config([((1, 1), 0), ((), -1), ((), -2)], 3) == (4, 2, 1)
-
-
-def test_decode_config_runner_count():
-    with pytest.raises(ValueError):
-        decode_config([((), 0), ((), 0)], 3)
-
-
-def test_decode_config_refuses_a_non_integral_offset():
-    # int() once read the offset 1.7 as 1
-    with pytest.raises(ValueError, match="offset must be an integer"):
-        decode_config([((1,), 0), ((), 1.7), ((), 2)], 3)
-    assert (decode_config([((1,), 0), ((), 1.0), ((), 2)], 3)
-            == decode_config([((1,), 0), ((), 1), ((), 2)], 3))
 
 
 @given(partition_strategy(), st.sampled_from([3, 5, 7]))

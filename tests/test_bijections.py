@@ -16,7 +16,7 @@ from selfext.bijections import (
     regularize,
 )
 from selfext.partitions import is_p_regular, partitions_of
-from selfext.signatures import epsilon, phi
+from selfext.signatures import signature
 from selfext.specht import specht_irreducible
 
 
@@ -67,8 +67,8 @@ def test_mullineux_negates_residues():
                 continue
             mu = mullineux(la, p)
             for i in range(p):
-                assert epsilon(la, p, i) == epsilon(mu, p, (-i) % p)
-                assert phi(la, p, i) == phi(mu, p, (-i) % p)
+                sig, twin = signature(la, p, i), signature(mu, p, -i)
+                assert (sig.epsilon, sig.phi) == (twin.epsilon, twin.phi)
 
 
 def test_mullineux_preserves_weight():

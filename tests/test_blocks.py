@@ -7,7 +7,7 @@ import pytest
 import oracles
 from selfext import blocks, partitions
 from selfext.abacus import core_and_weight, core_weight
-from selfext.blocks import BlockId, block_of, enumerate_block, is_rock_block, is_rouquier
+from selfext.blocks import BlockId, enumerate_block, is_rock_block, is_rouquier
 from selfext.partitions import is_p_regular, partitions_of
 
 
@@ -16,12 +16,6 @@ def multipartition_count(d, parts):
         return len(list(oracles.partitions_of(d)))
     return sum(multipartition_count(d - k, parts - 1)
                * len(list(oracles.partitions_of(k))) for k in range(d + 1))
-
-
-def test_block_of_examples():
-    assert block_of((4, 2, 1), 3) == BlockId((1,), 2, 3)
-    assert block_of((4, 2, 1, 1), 3) == BlockId((4, 2, 1, 1), 0, 3)
-    assert block_of((), 5) == BlockId((), 0, 5)
 
 
 def test_block_id_validation():
@@ -46,7 +40,7 @@ def test_same_block_iff_same_residue_content():
         pool = list(partitions_of(n))
         for i, la in enumerate(pool):
             for mu in pool[i:]:
-                same_block = block_of(la, p) == block_of(mu, p)
+                same_block = core_and_weight(la, p) == core_and_weight(mu, p)
                 same_content = (oracles.residue_multiset(la, p)
                                 == oracles.residue_multiset(mu, p))
                 assert same_block == same_content
@@ -71,12 +65,13 @@ def test_enumerate_block_members_and_counts():
             assert len(set(members)) == len(members)
             assert len(members) == multipartition_count(d, 3)
             for la in members:
-                assert block_of(la, 3) == b
+                assert BlockId(*core_and_weight(la, 3), 3) == b
 
 
 def test_enumerate_block_matches_direct_sweep():
     b = BlockId((1,), 2, 3)
-    direct = [la for la in partitions_of(b.n) if block_of(la, 3) == b]
+    direct = [la for la in partitions_of(b.n)
+              if core_and_weight(la, 3) == (b.core, b.weight)]
     assert sorted(enumerate_block(b)) == sorted(direct)
 
 
@@ -153,8 +148,7 @@ def test_is_rock_block_computes_the_core_once(monkeypatch):
         calls.append(la)
         return core_weight(la, p)
 
-    # the exported name and the kernel both count, so one call means one
-    monkeypatch.setattr(blocks, "core_and_weight", counted)
+    # blocks imports only the kernel, so every core computation counts
     monkeypatch.setattr(blocks, "core_weight", counted)
     assert [is_rock_block(la, 3) for la in cases] == expected
     assert calls == list(cases)
@@ -163,7 +157,8 @@ def test_is_rock_block_computes_the_core_once(monkeypatch):
 def test_block_id_keeps_the_normalised_core():
     block = BlockId([1, 0], 2, 3)
     assert block.core == (1,)
-    assert block == BlockId((1,), 2, 3) == block_of((4, 2, 1), 3)
+    assert block == BlockId((1,), 2, 3)
+    assert block == BlockId(*core_and_weight((4, 2, 1), 3), 3)
 
 
 def test_a_core_is_checked_once(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfext import certifier, partitions, signatures as signatures_module
-from selfext.abacus import core_and_weight, decode_config
+from selfext.abacus import core_and_weight, from_runner_rows, rows_for_component
 from selfext.certifier import (
     ALL_RULES,
     Certificate,
@@ -113,17 +113,24 @@ def test_trick1_targets_are_socle_edges():
                 assert ({"residue": i, "direction": "e"}, mu) in socle
 
 
+def from_runners(runners, p):
+    """The partition whose runner j carries runners[j] = (component, beads)."""
+    return from_runner_rows([rows_for_component(comp, beads)
+                             for comp, beads in runners], p)
+
+
 def test_trick2_hand_chain():
-    assert decode_config([((), 0), ((1, 1), 1), ((), 0)], 3) == (4, 2, 1)
+    assert from_runners([((), 1), ((1, 1), 2), ((), 1)], 3) == (4, 2, 1)
     chains = trick2((4, 2, 1), 3)
     assert ((2, 0), (3, 2, 2)) in chains
 
 
 def test_trick2_loaded_runner_configs():
-    for p, cfg in [(3, [((), 0), ((1, 1), 1), ((), 0)]),
-                   (5, [((), 0), ((1, 1), 1), ((), 1), ((), 1), ((), 0)]),
-                   (5, [((), 0), ((1, 1, 1), 2), ((), 2), ((), 1), ((), 0)])]:
-        la = decode_config(cfg, p)
+    for p, runners in [
+            (3, [((), 1), ((1, 1), 2), ((), 1)]),
+            (5, [((), 1), ((1, 1), 2), ((), 2), ((), 2), ((), 1)]),
+            (5, [((), 1), ((1, 1, 1), 3), ((), 3), ((), 2), ((), 1)])]:
+        la = from_runners(runners, p)
         assert is_p_regular(la, p)
         chains = trick2(la, p)
         assert chains

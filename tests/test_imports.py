@@ -1,7 +1,7 @@
 """Guards on the library's names: every name a module (or test module)
 imports is read in it, every top-level definition is used or exported, only
-exported functions validate partitions, and every function the benchmark
-tracer wraps exists."""
+exported functions validate partitions, only the p checks compare p with a
+literal, and every function the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -154,6 +154,48 @@ def test_boundary_guard_flags_a_checking_helper():
     assert unexported_checks(trees) == [("a.py", "helper"), ("a.py", "scale"),
                                         ("a.py", "parse_word"),
                                         ("a.py", "<module>")]
+
+
+# The functions that decide what a valid p is; every other function asks them.
+P_CHECKS = {"check_p", "check_prime", "is_p_regular", "is_p_restricted"}
+
+
+def is_p(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "p")
+            or (isinstance(node, ast.Attribute) and node.attr == "p"))
+
+
+def p_literal_comparisons(trees: dict) -> list:
+    """(module, line) of each comparison of p (a name, or an attribute such
+    as self.p) with a literal outside the functions of P_CHECKS."""
+    out = []
+    for module, tree in sorted(trees.items()):
+        exempt = {id(node) for top in ast.walk(tree)
+                  if isinstance(top, ast.FunctionDef) and top.name in P_CHECKS
+                  for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and id(node) not in exempt:
+                operands = [node.left, *node.comparators]
+                if (any(map(is_p, operands))
+                        and any(isinstance(x, ast.Constant) for x in operands)):
+                    out.append((module, node.lineno))
+    return out
+
+
+def test_only_the_p_checks_compare_p_with_a_literal():
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert p_literal_comparisons(trees) == []
+
+
+def test_p_guard_flags_a_hand_written_check():
+    trees = {"a.py": ast.parse(
+        "def check_p(p, least=2):\n    return p < 2 or p < least\n"
+        "def public(la, p):\n    if p <= 2:\n        raise ValueError\n"
+        "    return a % p == 0 or p < least\n"
+        "class Block:\n    def __post_init__(self):\n        3 > self.p\n"
+        "TABLE = {1: lambda p: p == 2}\n")}
+    assert p_literal_comparisons(trees) == [("a.py", 4), ("a.py", 9),
+                                            ("a.py", 10)]
 
 
 def test_every_tracer_target_resolves():

@@ -213,8 +213,16 @@ def test_check_regular_normalises_and_rejects_singular():
 def test_check_prime():
     for p in (2, 3, 5, 7, 29, 99991):
         assert check_prime(p) == p
-    for p in (-3, 0, 1, 4, 9, 91):
-        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+    for p in (-3, 0, 1):
+        with pytest.raises(ValueError, match=f"p must be at least 2, got {p}"):
+            check_prime(p)
+    for p in (4, 9, 91, 9.0):
+        with pytest.raises(ValueError, match=f"p must be prime, got {int(p)}"):
+            check_prime(p)
+    # p is read like a part: 3.0 is 3, but 2.5 and "3" are refused
+    assert type(check_prime(3.0)) is int and check_prime(3.0) == 3
+    for p in (2.5, "3", float("inf")):
+        with pytest.raises(ValueError, match="p must be an integer"):
             check_prime(p)
     with pytest.raises(ValueError, match=f"p must be at most {MAX_SIZE}"):
         check_prime(100003)  # prime, but past the bound

@@ -9,10 +9,8 @@ from selfext.abacus import core_and_weight
 from selfext.partitions import is_p_regular, node_residue, partitions_of
 from selfext.signatures import (
     e_tilde,
-    epsilon,
     f_tilde,
     is_difficult,
-    phi,
     signature,
     signatures,
 )
@@ -67,11 +65,6 @@ def test_signature_221_example():
     assert rep.cogood == (4, 1)
 
 
-def test_epsilon_phi_shortcuts():
-    assert epsilon((4, 2, 1), 3, 0) == 2
-    assert phi((4, 2, 1), 3, 0) == 1
-
-
 def test_e_tilde_examples():
     assert e_tilde((4, 2, 1), 3, 0, 2) == (3, 1, 1)
     assert e_tilde((4, 2, 1), 3, 0, 0) == (4, 2, 1)
@@ -81,6 +74,20 @@ def test_e_tilde_examples():
 def test_f_tilde_examples():
     assert f_tilde((4, 2, 1), 3, 0, 1) == (4, 2, 1, 1)
     assert f_tilde((4, 2, 1), 3, 0, 2) is None
+
+
+def test_residue_and_count_are_read_like_parts():
+    # 1.5 once gave a TypeError (an index, or a slice bound for r)
+    for func in (signature, e_tilde, f_tilde, is_difficult):
+        assert func((4, 2, 1), 3, 1.0) == func((4, 2, 1), 3, 1)
+        for bad in (1.5, "1"):
+            with pytest.raises(ValueError, match="i must be an integer"):
+                func((4, 2, 1), 3, bad)
+    for func in (e_tilde, f_tilde):
+        assert func((4, 2, 1), 3, 0, 1.0) == func((4, 2, 1), 3, 0, 1)
+        for bad in (1.5, "1"):
+            with pytest.raises(ValueError, match="r must be an integer"):
+                func((4, 2, 1), 3, 0, bad)
 
 
 def test_hat_operator_examples():
@@ -173,8 +180,8 @@ def test_node_adjacency_sweep_consistent():
                 continue
             for i in range(3):
                 removals, additions = oracles.node_adjacency_checks(la, 3, i)
-                assert len(removals) == epsilon(la, 3, i)
-                assert len(additions) == phi(la, 3, i)
+                sig = signature(la, 3, i)
+                assert (len(removals), len(additions)) == (sig.epsilon, sig.phi)
 
 
 def test_reflections_examples():
@@ -231,7 +238,8 @@ def test_phi_minus_epsilon_content_formula(la):
     for i in range(p):
         expected = ((1 if i == 0 else 0) - 2 * content[i]
                     + content[(i - 1) % p] + content[(i + 1) % p])
-        assert phi(la, p, i) - epsilon(la, p, i) == expected
+        sig = signature(la, p, i)
+        assert sig.phi - sig.epsilon == expected
 
 
 @given(regular_partition_strategy(3))

@@ -17,12 +17,11 @@ from selfext.partitions import (
     partitions_of,
     transpose,
 )
-from selfext.signatures import epsilon, signature
+from selfext.signatures import signature
 from selfext.specht import (
     _block_index,
     _irreducible,
     irreducible_specht_preimage,
-    special_runners,
     specht_irreducible,
     theorem_b_applicable,
 )
@@ -105,17 +104,6 @@ def test_witness_fields_replay():
             assert res.sub_regular.partition == comps[j]
             assert res.sub_restricted.partition == comps[k]
             assert res.sub_regular.irreducible and res.sub_restricted.irreducible
-
-
-def test_special_runners_examples():
-    assert special_runners((2, 1, 1), 3) == (None, None)
-    assert special_runners((4, 1, 1, 1), 3) == (1, 0)
-    assert special_runners((6, 1, 1, 1, 1, 1), 5) == (1, 0)
-
-
-def test_special_runners_rejects_reducible():
-    with pytest.raises(ValueError):
-        special_runners((2, 2), 3)
 
 
 def test_preimage_examples():
@@ -272,18 +260,14 @@ BOUNDARY_CASES = [
     (selfext.transpose, (4, 2, 1), ()),
     (selfext.core_and_weight, (4, 2, 1), (3,)),
     (selfext.signature, (4, 2, 1), (3, 0)),
-    (selfext.epsilon, (4, 2, 1), (3, 0)),
-    (selfext.phi, (4, 2, 1), (3, 1)),
     (selfext.e_tilde, (4, 2, 1), (3, 0)),
     (selfext.f_tilde, (4, 2, 1), (3, 1)),
     (selfext.is_difficult, (4, 2, 1), (3, 0)),
     (selfext.mullineux, (4, 2, 1), (3,)),
     (selfext.regularize, (2, 1, 1, 1), (3,)),
-    (selfext.block_of, (4, 2, 1), (3,)),
     (selfext.is_rock_block, (4, 2, 1), (3,)),
     (selfext.is_rouquier, (3, 1), (3, 2)),
     (selfext.specht_irreducible, (3, 1), (3,)),
-    (selfext.special_runners, (4, 1, 1, 1), (3,)),
     (selfext.irreducible_specht_preimage, (2, 1), (3,)),
     (selfext.theorem_b_applicable, (4, 2, 1), (3,)),
     (selfext.certify, (4, 2, 1), (3,)),
@@ -310,6 +294,52 @@ def test_boundary_cases_cover_every_partition_function():
     assert covered <= takes_partition
 
 
+# Every exported function or checked class (one with a __post_init__) that
+# takes p, with its other arguments.  The records SignatureReport and
+# Certificate check nothing, and is_p_regular and is_p_restricted are left
+# out as in BOUNDARY_CASES.
+P_CASES = [
+    (selfext.check_regular, {"la": (4, 2, 1)}),
+    (selfext.core_and_weight, {"la": (4, 2, 1)}),
+    (selfext.signature, {"la": (4, 2, 1), "i": 0}),
+    (selfext.e_tilde, {"la": (4, 2, 1), "i": 0}),
+    (selfext.f_tilde, {"la": (4, 2, 1), "i": 1}),
+    (selfext.is_difficult, {"la": (4, 2, 1), "i": 0}),
+    (selfext.mullineux, {"la": (4, 2, 1)}),
+    (selfext.regularize, {"la": (2, 1, 1, 1)}),
+    (selfext.BlockId, {"core": (1,), "weight": 2}),
+    (selfext.is_rouquier, {"rho": (3, 1), "d": 2}),
+    (selfext.is_rock_block, {"la": (4, 2, 1)}),
+    (selfext.specht_irreducible, {"la": (4, 1, 1, 1)}),
+    (selfext.irreducible_specht_preimage, {"mu": (2, 1)}),
+    (selfext.theorem_b_applicable, {"la": (4, 2, 1)}),
+    (selfext.certify, {"la": (4, 2, 1)}),
+    (selfext.realize_config, {"config": selfext.RunnerPairConfig((), (1, 1), 1)}),
+]
+
+
+@pytest.mark.parametrize("func,args", P_CASES,
+                         ids=[case[0].__name__ for case in P_CASES])
+def test_public_functions_check_p(func, args):
+    for bad in (0, 1, 2.5, "3"):
+        with pytest.raises(ValueError, match="p must be"):
+            func(**args, p=bad)
+    # repr, not ==: a result that kept the float 3.0 would still compare equal
+    assert repr(func(**args, p=3.0)) == repr(func(**args, p=3))
+
+
+def test_p_cases_cover_every_function_of_p():
+    takes_p = set()
+    for name in dir(selfext):
+        obj = getattr(selfext, name)
+        if ((inspect.isfunction(obj) or hasattr(obj, "__post_init__"))
+                and "p" in inspect.signature(obj).parameters):
+            takes_p.add(name)
+    covered = {case[0].__name__ for case in P_CASES}
+    assert takes_p - covered == {"is_p_regular", "is_p_restricted"}
+    assert covered <= takes_p
+
+
 def test_preimage_rejects_singular():
     with pytest.raises(ValueError):
         irreducible_specht_preimage((1, 1, 1), 3)
@@ -331,7 +361,7 @@ def test_preimage_regularizes_back():
 def test_theorem_b_examples():
     i, nu = theorem_b_applicable((10, 5, 4, 3, 1, 1), 3)
     assert (i, nu) == (0, (9, 4, 2, 2, 1, 1, 1, 1, 1))
-    assert epsilon((10, 5, 4, 3, 1, 1), 3, 0) == 2
+    assert signature((10, 5, 4, 3, 1, 1), 3, 0).epsilon == 2
     assert theorem_b_applicable((4, 2, 1), 3) == (0, (3, 1, 1))
     assert theorem_b_applicable((6, 2), 3) is None
     assert theorem_b_applicable((3, 3, 1, 1), 3) is None

@@ -36,11 +36,26 @@ def test_runner_pair_config_validation():
         RunnerPairConfig((), (1, 1), 0)
 
 
+def test_runner_config_gaps_are_read_like_parts():
+    # an integral gap is stored as an int: True once stayed True, 1.0 was refused
+    for gap in (1.0, True):
+        assert type(RunnerPairConfig((), (1, 1), gap).gap) is int
+        triple = RunnerTripleConfig((), (1, 1), (2, 2), gap, gap)
+        assert triple == RunnerTripleConfig((), (1, 1), (2, 2), 1, 1)
+        assert {type(triple.gap1), type(triple.gap2)} == {int}
+    for gap in (1.5, "1"):
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            RunnerPairConfig((), (1, 1), gap)
+        with pytest.raises(ValueError, match="gap2 must be an integer"):
+            RunnerTripleConfig((), (1, 1), (2, 2), 1, gap)
+    with pytest.raises(ValueError, match="gap1 must be positive, got 0"):
+        RunnerTripleConfig((), (1, 1), (2, 2), 0, 1)
+
+
 def test_runner_triple_config_structure():
     t = RunnerTripleConfig((), (1, 1), (2, 2), 1, 1)
     assert t.gaps == (1, 2)
-    assert t.pairs() == (RunnerPairConfig((), (1, 1), 1),
-                         RunnerPairConfig((1, 1), (2, 2), 1))
+    assert t.weight == 6
 
 
 def test_table1_matches_golden_rows():
@@ -97,6 +112,11 @@ def test_table1_rejects_out_of_range():
         derive_table1(8)
     with pytest.raises(ValueError):
         derive_table1(-1)
+    # 3.0 once raised TypeError while 7.5 raised ValueError
+    assert derive_table1(3.0) == derive_table1(3)
+    for bad in (7.5, "3"):
+        with pytest.raises(ValueError, match="max_weight must be an integer"):
+            derive_table1(bad)
 
 
 def test_locally_difficult_examples():
