@@ -1,18 +1,11 @@
-"""The Mullineux involution (p-rim symbol algorithm) and ladder regularization."""
+"""The Mullineux involution (p-rim symbol algorithm, one pass over the rows per
+p-rim) and ladder regularization (row counts read off the ladders' top slots)."""
 from __future__ import annotations
+
+import operator
 
 from .partitions import (check_p, check_partition, check_regular, height,
                          is_p_regular)
-
-
-def _rim_rows(la):
-    """Per row r (1-based), the number of rim nodes (r, c) with c in
-    [max(1, la_{r+1}), la_r]."""
-    counts = []
-    for k in range(len(la)):
-        below = la[k + 1] if k + 1 < len(la) else 0
-        counts.append(la[k] - max(below, 1) + 1)
-    return counts
 
 
 def peel_p_rim(la, p: int):
@@ -20,27 +13,17 @@ def peel_p_rim(la, p: int):
 
     The p-rim is read along the rim from the top right; after each segment of
     p nodes the walk restarts at the first rim node of the next row down, and
-    the final segment may be shorter.
+    the final segment may be shorter.  Row r's rim nodes are (r, c) for
+    max(1, la_{r+1}) <= c <= la_r; it gives up what the segment has room for.
     """
     if not la:
         raise ValueError("cannot peel the empty partition")
-    h = len(la)
-    rim = _rim_rows(la)
-    removed = [0] * h
-    row = 0
-    total = 0
-    while row < h:
-        remaining = p
-        while remaining > 0 and row < h:
-            take = min(rim[row], remaining)
-            removed[row] = take
-            total += take
-            remaining -= take
-            if remaining == 0:
-                break
-            row += 1
-        row += 1  # next segment starts at the first rim node of the row below
-    new = (la[k] - removed[k] for k in range(h))
+    new, total, left = [], 0, p
+    for part, below in zip(la, la[1:] + (0,)):
+        take = min(part - max(below, 1) + 1, left)
+        left = left - take or p  # a full segment restarts in the next row
+        total += take
+        new.append(part - take)
     return tuple(part for part in new if part), total  # the zeros are trailing
 
 
@@ -115,23 +98,20 @@ def ladder_counts(la, p: int) -> dict:
 
 
 def regularize(la, p: int) -> tuple:
-    """Slide nodes up their ladders: the p-regular partition la^R >= la."""
+    """Slide nodes up their ladders: the p-regular partition la^R >= la.
+
+    Ladder ell's slots run down from row (ell-1) % (p-1) + 1 every p-1 rows.
+    Its k nodes fill the k highest, the k-th never below la's k-th node on it.
+    """
     la, p = check_partition(la), check_p(p)
-    filled = set()
-    for ell, k in ladder_counts(la, p).items():
-        # ladder positions from the top: c = c_max, c_max-1, ..., 1
-        c_max = (ell - 1) // (p - 1) + 1
-        for c in range(c_max, c_max - k, -1):
-            filled.add((ell - (p - 1) * (c - 1), c))
-    row_len = {}
-    for r, c in filled:
-        row_len[r] = max(row_len.get(r, 0), c)
-    if any((r, c) not in filled for r in row_len for c in range(1, row_len[r] + 1)):
-        raise RuntimeError(f"ladder filling not left-justified for {la}")
-    # top-justified as well: no row gaps and weakly decreasing rows
-    if any((r - 1, c) not in filled for r, c in filled if r > 1):
-        raise RuntimeError(f"ladder filling not top-justified for {la}")
-    out = tuple(row_len[r] for r in range(1, len(row_len) + 1))
-    if not is_p_regular(out, p):
-        raise RuntimeError(f"ladder filling not {p}-regular for {la}")
+    counts = ladder_counts(la, p)
+    rows = [0] * (len(la) + 1)  # nodes per row, from row 1; the last stays 0
+    for ell, k in counts.items():
+        for r in range((ell - 1) % (p - 1), len(la), p - 1)[:k]:
+            rows[r] += 1
+    out = tuple(rows[:rows.index(0)])
+    # by James, la^R is the only p-regular partition with la's ladder counts
+    if (any(map(operator.lt, out, out[1:])) or not is_p_regular(out, p)
+            or ladder_counts(out, p) != counts):
+        raise RuntimeError(f"ladder filling not a {p}-regular partition for {la}")
     return out

@@ -1,4 +1,5 @@
-"""Block identity, block enumeration, Rouquier cores, RoCK membership."""
+"""Block identity, block enumeration, Rouquier cores (one display whose runner
+bead counts are rotated p times), RoCK membership."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -70,14 +71,14 @@ def is_rouquier(rho, p: int, d: int) -> bool:
 
 def rouquier_counts(core, p: int, d: int) -> bool:
     """is_rouquier's bead-count test on a p-core, a normalised tuple."""
-    # p more beads add one to every runner and keep the differences, so
-    # p consecutive bead counts cover every display.
-    low = max(height(core), 1)
-    for beads in range(low, low + p):
-        betas = rows_for_component(core, beads)  # its rows on one runner
-        counts = [len(rows) for rows in bead_rows(betas, p)]
+    # One more bead moves runner j's beads to j + 1, and p-1's plus the new
+    # bead at 0 to runner 0; p such rotations add one to every runner.
+    betas = rows_for_component(core, max(height(core), 1))  # rows on one runner
+    counts = [len(rows) for rows in bead_rows(betas, p)]
+    for _ in range(p):
         if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
             return True
+        counts = [counts[-1] + 1] + counts[:-1]
     return False
 
 

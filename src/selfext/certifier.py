@@ -10,6 +10,7 @@ step and the terminal from scratch through the same tables.
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -261,13 +262,7 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     reductions = [(tag, edges) for tag, edges in REDUCTIONS.items()
                   if tag in rules]
 
-    walked = {}
-
-    def reports(mu, p):  # signatures, one walk per partition and search
-        walk = walked.get(mu)
-        if walk is None:
-            walk = walked[mu] = signatures(mu, p)
-        return walk
+    reports = functools.cache(signatures)  # one walk per partition and search
 
     def terminal(node):
         for tag, find in terminals:

@@ -21,11 +21,13 @@ MAX_SIZE = 100_000  # largest partition size (text, certify, validate) and p
 
 def check_partition(la) -> tuple:
     """Normalize to a tuple, dropping trailing zeros; raise on bad input."""
-    raw = tuple(la)
     try:
+        raw = tuple(la)
         parts = tuple(map(int, raw))
     except OverflowError:  # int(float("inf")); a NaN already gives ValueError
         raise ValueError(f"parts must be finite: {la!r}") from None
+    except TypeError:  # la not iterable, or a part such as None or 1j
+        raise ValueError(f"parts must be integers: {la!r}") from None
     # int() truncates 2.7; a digit string such as "3" is read as its integer
     if parts != raw and any(part != x for part, x in zip(parts, raw)
                             if not isinstance(x, str)):
@@ -40,12 +42,12 @@ def check_partition(la) -> tuple:
 
 
 def check_integer(value, name: str) -> int:
-    """value as an int; ValueError for a number int() would truncate or
-    cannot read (2.7, inf, nan), as check_partition refuses such parts."""
+    """value as an int; ValueError for a value int() would truncate or
+    cannot read (2.7, inf, nan, None), as check_partition refuses such parts."""
     try:
         number = int(value)
-    except (OverflowError, ValueError):
-        number = None
+    except (OverflowError, TypeError, ValueError):
+        number = math.nan  # equal to nothing, None included
     if number != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return number

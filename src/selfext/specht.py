@@ -41,17 +41,11 @@ def _top_gap(l, beads, label, p):
 
 
 def _runner_bounds(counts, comps, p):
-    """Top and gap (_top_gap) of every runner, and the highest top and the
-    lowest gap outside a set of runners, read from runner orders sorted once.
-    Condition ii on runner j holds exactly when every other top lies below
-    gap(j), and condition iii on runner k when top(k) lies below every other
-    gap."""
-    tops, gaps = zip(*(_top_gap(l, n, c, p)
-                       for l, (n, c) in enumerate(zip(counts, comps))))
-    by_top = sorted(range(p), key=tops.__getitem__, reverse=True)
-    by_gap = sorted(range(p), key=gaps.__getitem__)
-    return (tops, gaps, lambda skip: next(tops[l] for l in by_top if l not in skip),
-            lambda skip: next(gaps[l] for l in by_gap if l not in skip))
+    """Top and gap (_top_gap) of every runner.  Condition ii on runner j
+    holds exactly when every other top lies below gap(j), and condition iii
+    on runner k when top(k) lies below every other gap."""
+    return tuple(zip(*(_top_gap(l, n, c, p)
+                       for l, (n, c) in enumerate(zip(counts, comps)))))
 
 
 @lru_cache(maxsize=65536)
@@ -71,12 +65,13 @@ def _irreducible(la, p):
     if len(nonempty) > 2:
         # no runner pair holds all the nonempty runners
         return SpechtResult(la, p, False)
-    tops, gaps, top_outside, gap_outside = _runner_bounds(map(len, rows), comps, p)
+    tops, gaps = _runner_bounds(map(len, rows), comps, p)
     for j in range(p):
         for k in range(p):
             if any(l not in (j, k) for l in nonempty):
                 continue
-            if top_outside((j,)) >= gaps[j] or tops[k] >= gap_outside((k,)):
+            if (max(tops[l] for l in range(p) if l != j) >= gaps[j]
+                    or tops[k] >= min(gaps[l] for l in range(p) if l != k)):
                 continue  # condition ii on j or iii on k fails
             if not (is_p_regular(comps[j], p) and is_p_restricted(comps[k], p)):
                 continue
@@ -119,10 +114,11 @@ def _block_index(core, w, p):
                          key=lambda b: b[:1]) for row in labels]
     beads = len(core) + p * w
     counts = [len(r) for r in bead_rows(rows_for_component(core, beads), p)]
-    _, _, top_outside, gap_outside = _runner_bounds(counts, [()] * p, p)
+    tops, gaps = _runner_bounds(counts, [()] * p, p)
     displays = set()
     for j, k in permutations(range(p), 2):
-        top, gap = top_outside((j, k)), gap_outside((j, k))
+        others = [l for l in range(p) if l not in (j, k)]
+        top, gap = max(tops[l] for l in others), min(gaps[l] for l in others)
         for v in range(w + 1):
             for alpha in regular[v]:
                 bound = _top_gap(j, counts[j], alpha, p)[1]

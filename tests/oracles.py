@@ -12,8 +12,11 @@ labels; irreducible_by_displays and block_index_by_displays, the
 irreducibility criterion and that index checked on every display position
 by position (runner_data, condition_ii, condition_iii), where the library
 reads each runner's highest bead and lowest gap;
-add_p_rim_by_search, the p-rim addition that tried every choice of
-segment ends and re-peeled each candidate; table1_by_local_signature, the
+peel_by_segments, the p-rim peel as nested segment loops over a per-row
+rim list; regularize_by_node_sets, regularization as the set of every
+filled ladder slot and three scans of it; add_p_rim_by_search, the p-rim
+addition that tried every choice of segment ends and re-peeled each
+candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature;
 signature_by_residue, the signed word of one residue filtered from all
 nodes and sorted, which the library replaced by one walk along the rim;
@@ -357,7 +360,32 @@ def add_all_addable(la, p, i):
 
 
 # ---------------------------------------------------------------------------
-# the Mullineux map: p-rims by search, and crystals
+# the Mullineux map: p-rims by segments and by search, and crystals
+
+
+def peel_by_segments(la, p: int):
+    """peel_p_rim as a list of rim nodes per row and a walk that fills one
+    segment of p nodes at a time, row by row, then restarts a row lower."""
+    if not la:
+        raise ValueError("cannot peel the empty partition")
+    h = len(la)
+    rim = [la[k] - max(la[k + 1] if k + 1 < h else 0, 1) + 1 for k in range(h)]
+    removed = [0] * h
+    row = 0
+    total = 0
+    while row < h:
+        remaining = p
+        while remaining > 0 and row < h:
+            take = min(rim[row], remaining)
+            removed[row] = take
+            total += take
+            remaining -= take
+            if remaining == 0:
+                break
+            row += 1
+        row += 1  # next segment starts at the first rim node of the row below
+    new = (la[k] - removed[k] for k in range(h))
+    return tuple(part for part in new if part), total
 
 
 def add_p_rim_by_search(mu, p: int, a: int, s: int):
@@ -429,7 +457,30 @@ def crystal_mullineux(la, p):
 
 
 # ---------------------------------------------------------------------------
-# regularization preimages
+# regularization and its preimages
+
+
+def regularize_by_node_sets(la, p: int) -> tuple:
+    """la^R as the set of nodes that fill the top of every ladder, checked
+    left- and top-justified and p-regular by scans of that set."""
+    filled = set()
+    for ell, k in ladder_counts(la, p).items():
+        # ladder positions from the top: c = c_max, c_max-1, ..., 1
+        c_max = (ell - 1) // (p - 1) + 1
+        for c in range(c_max, c_max - k, -1):
+            filled.add((ell - (p - 1) * (c - 1), c))
+    row_len = {}
+    for r, c in filled:
+        row_len[r] = max(row_len.get(r, 0), c)
+    if any((r, c) not in filled for r in row_len for c in range(1, row_len[r] + 1)):
+        raise RuntimeError(f"ladder filling not left-justified for {la}")
+    # top-justified as well: no row gaps and weakly decreasing rows
+    if any((r - 1, c) not in filled for r, c in filled if r > 1):
+        raise RuntimeError(f"ladder filling not top-justified for {la}")
+    out = tuple(row_len[r] for r in range(1, len(row_len) + 1))
+    if not is_p_regular(out, p):
+        raise RuntimeError(f"ladder filling not {p}-regular for {la}")
+    return out
 
 
 def block_scan_preimage(mu, p):

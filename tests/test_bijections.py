@@ -34,6 +34,18 @@ def test_peel_p_rim_row():
         peel_p_rim((), 3)
 
 
+def test_peel_p_rim_matches_segment_walk():
+    # every partition with n <= 20: rows giving up the rest of a segment
+    # against a walk that fills p nodes and then restarts a row lower
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 21):
+            for la in partitions_of(n):
+                checked += 1
+                assert peel_p_rim(la, p) == oracles.peel_by_segments(la, p), (la, p)
+    assert checked == 4 * 2713
+
+
 def test_p_rim_symbol_row():
     assert p_rim_symbol((3,), 3) == [(3, 1)]
 
@@ -163,6 +175,18 @@ def test_regularize_examples():
     assert regularize((1, 1, 1), 3) == (2, 1)
     assert regularize((6, 1, 1, 1, 1, 1), 5) == (6, 2, 1, 1, 1)
     assert regularize((), 3) == ()
+
+
+def test_regularize_matches_node_sets():
+    # every partition with n <= 20: row counts from the ladder tops against
+    # the filled node set and its scans
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for n in range(21):
+            for la in partitions_of(n):
+                checked += 1
+                assert regularize(la, p) == oracles.regularize_by_node_sets(la, p), (la, p)
+    assert checked == 4 * 2714
 
 
 @given(partition_strategy(), st.sampled_from([3, 5]))

@@ -28,7 +28,7 @@ def test_block_id_validation():
 
 def test_block_id_refuses_a_non_integral_weight():
     # a weight of 2.5 once gave n == 7.5 and a TypeError in enumerate_block
-    for weight in (2.5, float("inf"), float("nan")):
+    for weight in (2.5, float("inf"), float("nan"), None):
         with pytest.raises(ValueError, match="weight must be an integer"):
             BlockId((), weight, 3)
     assert BlockId((), 2.0, 3) == BlockId((), 2, 3)

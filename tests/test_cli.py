@@ -117,12 +117,13 @@ def test_huge_p_exits_2_at_once(capsys):
 
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(la, p):
-        raise RuntimeError("ladder filling not left-justified")
+        raise RuntimeError("ladder filling not a 3-regular partition for (1, 1, 1)")
     monkeypatch.setattr(cli, "regularize", broken)
     code, out, err = capture(capsys, ["regularize", "1^3", "--p", "3"])
     assert code == 3
     assert out == ""
-    assert err == "internal error: ladder filling not left-justified\n"
+    assert err == ("internal error: ladder filling not a 3-regular partition "
+                   "for (1, 1, 1)\n")
 
 
 def test_workers_clamped_to_cpu_count(monkeypatch):

@@ -60,6 +60,11 @@ CHECK_PARTITION_PINS = [
     ([2, float("inf")], "parts must be finite: [2, inf]"),  # JSON Infinity
     ((3, 2.7), "parts must be integers: (3, 2.7)"),  # int() would give 2
     ((Fraction(5, 2),), "parts must be integers: (Fraction(5, 2),)"),
+    # int() cannot take these at all, and tuple() cannot take the last two
+    ([None], "parts must be integers: [None]"),
+    ([1j], "parts must be integers: [1j]"),
+    (None, "parts must be integers: None"),
+    (5, "parts must be integers: 5"),
 ]
 
 

@@ -80,7 +80,7 @@ def test_residue_and_count_are_read_like_parts():
     # 1.5 once gave a TypeError (an index, or a slice bound for r)
     for func in (signature, e_tilde, f_tilde, is_difficult):
         assert func((4, 2, 1), 3, 1.0) == func((4, 2, 1), 3, 1)
-        for bad in (1.5, "1"):
+        for bad in (1.5, "1", None):
             with pytest.raises(ValueError, match="i must be an integer"):
                 func((4, 2, 1), 3, bad)
     for func in (e_tilde, f_tilde):

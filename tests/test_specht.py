@@ -321,7 +321,7 @@ P_CASES = [
 @pytest.mark.parametrize("func,args", P_CASES,
                          ids=[case[0].__name__ for case in P_CASES])
 def test_public_functions_check_p(func, args):
-    for bad in (0, 1, 2.5, "3"):
+    for bad in (0, 1, 2.5, "3", None):
         with pytest.raises(ValueError, match="p must be"):
             func(**args, p=bad)
     # repr, not ==: a result that kept the float 3.0 would still compare equal

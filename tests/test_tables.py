@@ -43,7 +43,7 @@ def test_runner_config_gaps_are_read_like_parts():
         triple = RunnerTripleConfig((), (1, 1), (2, 2), gap, gap)
         assert triple == RunnerTripleConfig((), (1, 1), (2, 2), 1, 1)
         assert {type(triple.gap1), type(triple.gap2)} == {int}
-    for gap in (1.5, "1"):
+    for gap in (1.5, "1", None):
         with pytest.raises(ValueError, match="gap must be an integer"):
             RunnerPairConfig((), (1, 1), gap)
         with pytest.raises(ValueError, match="gap2 must be an integer"):
@@ -114,7 +114,7 @@ def test_table1_rejects_out_of_range():
         derive_table1(-1)
     # 3.0 once raised TypeError while 7.5 raised ValueError
     assert derive_table1(3.0) == derive_table1(3)
-    for bad in (7.5, "3"):
+    for bad in (7.5, "3", None):
         with pytest.raises(ValueError, match="max_weight must be an integer"):
             derive_table1(bad)
 
