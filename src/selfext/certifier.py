@@ -10,7 +10,6 @@ step and the terminal from scratch through the same tables.
 """
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -262,7 +261,10 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     reductions = [(tag, edges) for tag, edges in REDUCTIONS.items()
                   if tag in rules]
 
-    reports = functools.cache(signatures)  # one walk per partition and search
+    walked = {}  # one walk per partition and search
+
+    def reports(mu, p):
+        return walked.get(mu) or walked.setdefault(mu, signatures(mu, p))
 
     def terminal(node):
         for tag, find in terminals:

@@ -4,7 +4,10 @@ A bead on the right runner of an adjacent pair with a gap to its left is a
 removable node of the pair's residue; a bead on the left runner with a gap to
 its right is an addable one.  Every node of that residue lives on the pair, so
 the local signed word (rows scanned bottom to top) reduces exactly like the
-global one, independently of the remaining runners.
+global one, independently of the remaining runners.  Each runner enters as
+the bit mask of a runner's rows (bit r set when row r holds a bead), built
+from abacus.rows_for_component; a pair's word is read off left ^ right and
+reduced by signatures.cancel_word.
 """
 from __future__ import annotations
 
@@ -81,27 +84,32 @@ class LocalSignature:
     left_beads: int
 
 
-def _scan_rows(left_rows, right_rows):
-    """Signed word of two runners given as bead-row sets, rows ascending.
+def _rows_mask(rows) -> int:
+    """Bit mask of a runner's rows: bit r is set when row r holds a bead."""
+    return sum(1 << r for r in rows)
 
-    Only rows with a bead on exactly one runner emit a sign: "+" for the left
-    runner, "-" for the right.
-    """
-    left_rows = set(left_rows)
-    rows = tuple(sorted(left_rows.symmetric_difference(right_rows)))
-    return "".join("+" if t in left_rows else "-" for t in rows), rows
+
+def _mask_word(left: int, right: int):
+    """(sign, row) entries of the signed word of two runners' row masks, rows
+    ascending: a row with a bead on exactly one runner emits "+" for the left
+    runner, "-" for the right."""
+    diff = left ^ right
+    while diff:
+        low = diff & -diff
+        yield ("-" if right & low else "+"), low.bit_length() - 1
+        diff ^= low
 
 
 def local_signature(pair: RunnerPairConfig) -> LocalSignature:
     """Signature of the pair's residue, computed from the two runners alone."""
     base = pair.weight + pair.gap + 2
-    left_rows = rows_for_component(pair.left, base)
-    right_rows = rows_for_component(pair.right, base + pair.gap)
-    word, rows = _scan_rows(left_rows, right_rows)
-    plus, minus = cancel_word(zip(word, rows))
+    entries = tuple(_mask_word(
+        _rows_mask(rows_for_component(pair.left, base)),
+        _rows_mask(rows_for_component(pair.right, base + pair.gap))))
+    plus, minus = cancel_word(entries)
     return LocalSignature(
-        word=word,
-        rows=rows,
+        word="".join(sign for sign, _ in entries),
+        rows=tuple(row for _, row in entries),
         epsilon=len(minus),
         phi=len(plus),
         good_row=minus[0] if minus else None,
@@ -127,10 +135,13 @@ def derive_table1(max_weight: int) -> list:
     """All locally difficult runner pairs of combined weight <= max_weight.
 
     Each candidate (left, right, gap) is decided by _difficulty_rows on the
-    two runners' bead rows: the one pair criterion, which the table-2 filter
-    and realize_config use too (locally_difficult reads the same condition
-    off a full LocalSignature).  Each runner's rows are built once per call,
-    and a RunnerPairConfig only for the rows kept.
+    bit mask of each runner's rows: the one pair criterion, which the
+    table-2 filter and realize_config use too (locally_difficult reads the
+    same condition off a full LocalSignature).  Each component's mask is
+    built once per call, at max_weight + 1 beads; the right runner's gap
+    extra beads shift its mask up gap rows and fill the rows below.  A bead
+    added to both runners shifts the word up one row, which leaves the
+    criterion unchanged.  A RunnerPairConfig is built only for the rows kept.
 
     Deterministic order: (weight, gap descending, right component, left
     component); max_weight above 7 is outside the verified range and refused.
@@ -139,31 +150,25 @@ def derive_table1(max_weight: int) -> list:
     if not 0 <= max_weight <= 7:
         raise ValueError(f"max_weight must be in 0..7, got {max_weight}")
     comps = [tuple(partitions_of(k)) for k in range(max_weight + 1)]
-    runner_rows = {}
-
-    def rows(comp, count):
-        key = (comp, count)
-        if key not in runner_rows:
-            runner_rows[key] = rows_for_component(comp, count)
-        return runner_rows[key]
-
+    masks = {comp: _rows_mask(rows_for_component(comp, max_weight + 1))
+             for size_comps in comps for comp in size_comps}
     found = []
     for w in range(2, max_weight + 1):
         for left_size in range(w + 1):
             for left in comps[left_size]:
                 for right in comps[w - left_size]:
                     for gap in range(1, w):
-                        base = w + gap + 2
-                        if _difficulty_rows(rows(left, base),
-                                            rows(right, base + gap)):
+                        if _difficulty_rows(masks[left], masks[right] << gap
+                                            | (1 << gap) - 1):
                             found.append(RunnerPairConfig(left, right, gap))
     found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))
     return found
 
 
-def _difficulty_rows(left_rows, right_rows):
-    """(good row, cogood row) of a difficult pair given as bead-row sets."""
-    plus, minus = cancel_word(zip(*_scan_rows(left_rows, right_rows)))
+def _difficulty_rows(left: int, right: int):
+    """(good row, cogood row) of a difficult pair given as the bit mask of
+    each runner's rows."""
+    plus, minus = cancel_word(_mask_word(left, right))
     if not (minus and plus and minus[0] == plus[-1] + 1):
         return None
     return minus[0], plus[-1]
@@ -200,25 +205,20 @@ def table2_candidates(pairs=None) -> list:
     return out
 
 
-def _triple_rows(triple: RunnerTripleConfig, base: int):
-    """Bead-row sets of the three runners in a common display."""
-    return (rows_for_component(triple.left, base),
-            rows_for_component(triple.middle, base + triple.gap1),
-            rows_for_component(triple.right, base + triple.gap1 + triple.gap2))
-
-
 def _joint_difficult(triple: RunnerTripleConfig) -> bool:
     base = triple.weight + triple.gap1 + triple.gap2 + 2
-    left_rows, mid_rows, right_rows = _triple_rows(triple, base)
-    first = _difficulty_rows(left_rows, mid_rows)
-    second = _difficulty_rows(mid_rows, right_rows)
+    left = _rows_mask(rows_for_component(triple.left, base))
+    middle = _rows_mask(rows_for_component(triple.middle, base + triple.gap1))
+    right = _rows_mask(rows_for_component(triple.right, base + triple.gaps[1]))
+    first = _difficulty_rows(left, middle)
+    second = _difficulty_rows(middle, right)
     if first is None or second is None:
         return False
     # Each pair's criterion requires every position strictly inside its bead
     # window to be occupied; on the third runner of the triple that means the
     # right runner at the first pair's cogood row and the left runner at the
     # second pair's good row.
-    return first[1] in set(right_rows) and second[0] in set(left_rows)
+    return bool(right >> first[1] & 1 and left >> second[0] & 1)
 
 
 def realize_config(config, p: int):
@@ -246,7 +246,7 @@ def realize_config(config, p: int):
            for k in range(span)]
     windows = []
     for k in range(span - 1):
-        win = _difficulty_rows(own[k], own[k + 1])
+        win = _difficulty_rows(_rows_mask(own[k]), _rows_mask(own[k + 1]))
         if win is None:
             raise ValueError(f"{config} is not (jointly) difficult")
         windows.append(win[0])

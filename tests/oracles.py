@@ -18,6 +18,8 @@ filled ladder slot and three scans of it; add_p_rim_by_search, the p-rim
 addition that tried every choice of segment ends and re-peeled each
 candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature;
+table1_by_row_sets, the Table I loop that read each pair's word off
+bead-row sets (a symmetric difference, sorted) instead of bit masks;
 signature_by_residue, the signed word of one residue filtered from all
 nodes and sorted, which the library replaced by one walk along the rim;
 shortest_certificate_length, the certifier's search redone as level sets
@@ -705,5 +707,28 @@ def table1_by_local_signature(max_weight):
                         pair = RunnerPairConfig(left, right, gap)
                         if locally_difficult(pair):
                             found.append(pair)
+    found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))
+    return found
+
+
+def table1_by_row_sets(max_weight):
+    """Table I with each pair's signed word read off bead-row sets: the rows
+    with a bead on exactly one runner, sorted, "+" for the left runner and
+    "-" for the right, each runner at its own base w + gap + 2."""
+    found = []
+    for w in range(2, max_weight + 1):
+        for left_size in range(w + 1):
+            for left in partitions_of(left_size):
+                for right in partitions_of(w - left_size):
+                    for gap in range(1, w):
+                        base = w + gap + 2
+                        left_rows = set(rows_for_component(left, base))
+                        right_rows = rows_for_component(right, base + gap)
+                        rows = sorted(left_rows ^ set(right_rows))
+                        word = "".join("+" if t in left_rows else "-"
+                                       for t in rows)
+                        plus, minus = cancel_word(zip(word, rows))
+                        if minus and plus and minus[0] == plus[-1] + 1:
+                            found.append(RunnerPairConfig(left, right, gap))
     found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))
     return found

@@ -15,7 +15,7 @@ from selfext.signatures import is_difficult, signature
 from selfext.tables import (
     RunnerPairConfig,
     RunnerTripleConfig,
-    _scan_rows,
+    _mask_word,
     derive_table1,
     derive_table2,
     local_signature,
@@ -79,12 +79,14 @@ def test_table1_prefixes():
 def test_table1_matches_local_signature_oracle():
     for k in range(8):
         assert derive_table1(k) == oracles.table1_by_local_signature(k), k
+        # the word read off sorted row sets, not off the runners' bit masks
+        assert derive_table1(k) == oracles.table1_by_row_sets(k), k
     rows = derive_table2()
     assert len(rows) == 4 and table2_rows(rows) == golden_table2_rows()
 
 
 def _scan_rows_by_range(left_rows, right_rows):
-    # the definition _scan_rows replaced: scan every row up to the top bead
+    # the signed word by definition: scan every row up to the top bead
     left_rows, right_rows = set(left_rows), set(right_rows)
     word, rows = [], []
     for t in range(max(left_rows | right_rows, default=-1) + 1):
@@ -104,7 +106,11 @@ def test_scan_rows_matches_range_scan(left, right, overlap):
     elif overlap == "shared":
         right = right | set(sorted(left)[::2])
     for a, b in ((left, right), (right, left), (left, left), (left, ())):
-        assert _scan_rows(sorted(a), b) == _scan_rows_by_range(a, b)
+        entries = list(_mask_word(sum(1 << t for t in a),
+                                  sum(1 << t for t in b)))
+        word = "".join(sign for sign, _ in entries)
+        rows = tuple(t for _, t in entries)
+        assert (word, rows) == _scan_rows_by_range(a, b)
 
 
 def test_table1_rejects_out_of_range():
