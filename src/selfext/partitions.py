@@ -139,10 +139,12 @@ def check_regular(la, p: int) -> tuple:
 
 def is_p_restricted(la, p: int) -> bool:
     """True iff consecutive part differences (including the last part) are < p."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    padded = tuple(la) + (0,)
-    return all(padded[k] - padded[k + 1] < p for k in range(len(la)))
+    return p_restricted(check_partition(la), check_p(p))
+
+
+def p_restricted(la, p: int) -> bool:
+    """is_p_restricted of a normalised tuple and a checked p."""
+    return all(part - below < p for part, below in zip(la, (*la[1:], 0)))
 
 
 def transpose(la) -> tuple:

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .partitions import (check_p, check_partition, check_regular,
-                         is_p_regular, is_p_restricted, partitions_of)
+                         is_p_regular, p_restricted, partitions_of)
 from .abacus import (bead_rows, component_from_rows, core_weight,
                      from_runner_rows, rows_for_component)
 from .bijections import regularize
@@ -73,7 +73,7 @@ def _irreducible(la, p):
             if (max(tops[l] for l in range(p) if l != j) >= gaps[j]
                     or tops[k] >= min(gaps[l] for l in range(p) if l != k)):
                 continue  # condition ii on j or iii on k fails
-            if not (is_p_regular(comps[j], p) and is_p_restricted(comps[k], p)):
+            if not (is_p_regular(comps[j], p) and p_restricted(comps[k], p)):
                 continue
             sub_j = _irreducible(comps[j], p)
             sub_k = sub_j and _irreducible(comps[k], p)
@@ -110,7 +110,7 @@ def _block_index(core, w, p):
               for v in range(w + 1)]
     regular = [sorted((a for a in row if is_p_regular(a, p)), key=len)
                for row in labels]
-    restricted = [sorted((b for b in row if is_p_restricted(b, p)),
+    restricted = [sorted((b for b in row if p_restricted(b, p)),
                          key=lambda b: b[:1]) for row in labels]
     beads = len(core) + p * w
     counts = [len(r) for r in bead_rows(rows_for_component(core, beads), p)]

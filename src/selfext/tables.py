@@ -100,12 +100,19 @@ def _mask_word(left: int, right: int):
         diff ^= low
 
 
+def _config_rows(comps, spread) -> list:
+    """Bead rows of adjacent runners carrying comps: the leftmost holds
+    |comps| + sum(spread) + 2 beads, and each runner after it spread[k] more
+    than its left neighbour."""
+    base = sum(map(size, comps)) + sum(spread) + 2
+    return [rows_for_component(comp, beads) for comp, beads
+            in zip(comps, itertools.accumulate(spread, initial=base))]
+
+
 def local_signature(pair: RunnerPairConfig) -> LocalSignature:
     """Signature of the pair's residue, computed from the two runners alone."""
-    base = pair.weight + pair.gap + 2
-    entries = tuple(_mask_word(
-        _rows_mask(rows_for_component(pair.left, base)),
-        _rows_mask(rows_for_component(pair.right, base + pair.gap))))
+    left, right = _config_rows((pair.left, pair.right), (pair.gap,))
+    entries = tuple(_mask_word(_rows_mask(left), _rows_mask(right)))
     plus, minus = cancel_word(entries)
     return LocalSignature(
         word="".join(sign for sign, _ in entries),
@@ -114,7 +121,7 @@ def local_signature(pair: RunnerPairConfig) -> LocalSignature:
         phi=len(plus),
         good_row=minus[0] if minus else None,
         cogood_row=plus[-1] if plus else None,
-        left_beads=base,
+        left_beads=len(left),
     )
 
 
@@ -206,10 +213,8 @@ def table2_candidates(pairs=None) -> list:
 
 
 def _joint_difficult(triple: RunnerTripleConfig) -> bool:
-    base = triple.weight + triple.gap1 + triple.gap2 + 2
-    left = _rows_mask(rows_for_component(triple.left, base))
-    middle = _rows_mask(rows_for_component(triple.middle, base + triple.gap1))
-    right = _rows_mask(rows_for_component(triple.right, base + triple.gaps[1]))
+    left, middle, right = map(_rows_mask, _config_rows(
+        (triple.left, triple.middle, triple.right), (triple.gap1, triple.gap2)))
     first = _difficulty_rows(left, middle)
     second = _difficulty_rows(middle, right)
     if first is None or second is None:
@@ -224,11 +229,12 @@ def _joint_difficult(triple: RunnerTripleConfig) -> bool:
 def realize_config(config, p: int):
     """Embed a pair or triple into a p-runner abacus and decode the witness.
 
-    Remaining runners carry beads through the difficulty windows so the
-    positions the full criterion checks off the configured runners are
-    occupied: either plain full prefixes, or (when those force a singular
-    decode by wrapping the configured runners' gaps) copies of the configured
-    runners' own bead rows.  Returns a p-regular partition difficult at the
+    The configured runners take their rows from _config_rows.  Each spare
+    runner carries one filler so that the positions the full criterion checks
+    off the configured runners are occupied: the rows of a component of
+    weight 0..4 on floor..floor + 3 beads, where floor is one more than the
+    highest row it must fill.  Fillers are tried lightest first, so a full
+    prefix comes first.  Returns a p-regular partition difficult at the
     configured residue(s); raises if no placement at this p works.
     """
     p = check_p(p, 3)
@@ -241,9 +247,7 @@ def realize_config(config, p: int):
         raise TypeError(f"expected a pair or triple config, got {config!r}")
     span = len(comps)
 
-    base = sum(size(c) for c in comps) + sum(spread) + 2
-    own = [rows_for_component(comps[k], base + sum(spread[:k]))
-           for k in range(span)]
+    own = _config_rows(comps, spread)
     windows = []
     for k in range(span - 1):
         win = _difficulty_rows(_rows_mask(own[k]), _rows_mask(own[k + 1]))
@@ -252,25 +256,14 @@ def realize_config(config, p: int):
         windows.append(win[0])
 
     def candidates(required):
-        seen = set()
-        def emit(rows):
-            rows = tuple(sorted(rows))
-            if rows not in seen and required <= set(rows):
-                seen.add(rows)
-                yield rows
         floor = max(required) + 1
-        yield from emit(range(floor))
-        yield from emit(set().union(*own) | required)
-        yield from emit(set().union(*own[:-1]) | required)
-        for c in range(floor, floor + 4):
-            for comp in comps:
-                if height(comp) <= c:
-                    yield from emit(rows_for_component(comp, c))
-        for c in range(floor, floor + 4):
-            for w in range(1, 5):
+        for w in range(5):
+            for c in range(floor, floor + 4):
                 for comp in partitions_of(w):
                     if height(comp) <= c:
-                        yield from emit(rows_for_component(comp, c))
+                        rows = rows_for_component(comp, c)
+                        if required.issubset(rows):
+                            yield rows
 
     need_below = frozenset(windows)
     need_above = frozenset(t - 1 for t in windows)

@@ -157,7 +157,7 @@ def test_boundary_guard_flags_a_checking_helper():
 
 
 # The functions that decide what a valid p is; every other function asks them.
-P_CHECKS = {"check_p", "check_prime", "is_p_regular", "is_p_restricted"}
+P_CHECKS = {"check_p", "check_prime", "is_p_regular"}
 
 
 def is_p(node) -> bool:

@@ -185,6 +185,25 @@ def test_block_index_matches_display_oracle():
     assert checked == 937
 
 
+def test_block_index_commutes_with_the_sign_twist():
+    # S^{nu'} is the sign twist of the dual of S^nu (James, LNM 682), so
+    # transposing carries the irreducible Specht labels of the block
+    # (core, w) onto those of (core', w), and their regularizations by
+    # the Mullineux map
+    checked = 0
+    for p, wmax in ((3, 5), (5, 3)):
+        cores = [core for n in range(14) for core in partitions_of(n)
+                 if abacus.core_weight(core, p)[1] == 0]
+        for core in cores:
+            for w in range(wmax + 1):
+                twisted = {selfext.mullineux(mu, p): transpose(nu)
+                           for mu, nu in _block_index(core, w, p).items()}
+                assert _block_index(transpose(core), w, p) == twisted, \
+                    (core, w, p)
+                checked += 1
+    assert checked == 388
+
+
 def test_irreducible_matches_display_oracle():
     # witnesses included: the same first (beads, j, k) and sub-results
     checked = 0
@@ -249,14 +268,15 @@ def test_preimage_cache_is_bounded():
 
 
 # Every exported function that takes a partition, with the rest of its
-# arguments.  is_p_regular and is_p_restricted are left out: they are the
-# predicates the library applies to its own tuples in its inner loops, and
-# take a tuple as check_partition returns it.
+# arguments.  is_p_regular is left out: it is the predicate the library
+# applies to its own tuples in its inner loops, and takes a tuple as
+# check_partition returns it.
 BOUNDARY_CASES = [
     (selfext.check_partition, (4, 2, 1), ()),
     (selfext.check_regular, (4, 2, 1), (3,)),
     (selfext.dominates, (4, 2, 1), ((3, 3, 1),)),
     (selfext.format_partition, (4, 2, 2, 1), ()),
+    (selfext.is_p_restricted, (4, 2, 1), (3,)),
     (selfext.transpose, (4, 2, 1), ()),
     (selfext.core_and_weight, (4, 2, 1), (3,)),
     (selfext.signature, (4, 2, 1), (3, 0)),
@@ -290,16 +310,17 @@ def test_boundary_cases_cover_every_partition_function():
         and next(iter(inspect.signature(getattr(selfext, name)).parameters),
                  None) in ("la", "mu", "rho")}
     covered = {case[0].__name__ for case in BOUNDARY_CASES}
-    assert takes_partition - covered == {"is_p_regular", "is_p_restricted"}
+    assert takes_partition - covered == {"is_p_regular"}
     assert covered <= takes_partition
 
 
 # Every exported function or checked class (one with a __post_init__) that
 # takes p, with its other arguments.  The records SignatureReport and
-# Certificate check nothing, and is_p_regular and is_p_restricted are left
-# out as in BOUNDARY_CASES.
+# Certificate check nothing, and is_p_regular is left out as in
+# BOUNDARY_CASES.
 P_CASES = [
     (selfext.check_regular, {"la": (4, 2, 1)}),
+    (selfext.is_p_restricted, {"la": (4, 2, 1)}),
     (selfext.core_and_weight, {"la": (4, 2, 1)}),
     (selfext.signature, {"la": (4, 2, 1), "i": 0}),
     (selfext.e_tilde, {"la": (4, 2, 1), "i": 0}),
@@ -336,7 +357,7 @@ def test_p_cases_cover_every_function_of_p():
                 and "p" in inspect.signature(obj).parameters):
             takes_p.add(name)
     covered = {case[0].__name__ for case in P_CASES}
-    assert takes_p - covered == {"is_p_regular", "is_p_restricted"}
+    assert takes_p - covered == {"is_p_regular"}
     assert covered <= takes_p
 
 

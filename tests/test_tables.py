@@ -216,19 +216,26 @@ def test_local_signature_matches_global_on_embeddings():
 
 
 def test_realize_config_covers_tables():
-    for c in derive_table1(7):
-        assert any(realized is not None for realized in (
-            _try_realize(c, p) for p in (3, 5, 7)))
-    for t in derive_table2():
-        la = realize_config(t, 3)
-        assert is_p_regular(la, 3)
-
-
-def _try_realize(cfg, p):
-    try:
-        return realize_config(cfg, p)
-    except ValueError:
-        return None
+    # every row embeds at p = 5 and 7, and all but three Table I rows at
+    # p = 3; each witness is p-regular and difficult at one residue or more
+    # (two or more for a triple)
+    rows = derive_table1(7)
+    rows += derive_table2(rows)
+    unplaced = set()
+    for config in rows:
+        for p in (3, 5, 7):
+            try:
+                la = realize_config(config, p)
+            except ValueError:
+                unplaced.add((config, p))
+                continue
+            assert is_p_regular(la, p), (config, p)
+            hard = sum(is_difficult(la, p, i) for i in range(p))
+            assert hard >= (2 if isinstance(config, RunnerTripleConfig)
+                            else 1), (config, p, la)
+    assert unplaced == {(RunnerPairConfig((1, 1, 1), (2, 2), 1), 3),
+                        (RunnerPairConfig((1, 1), (2, 2, 1), 1), 3),
+                        (RunnerPairConfig((), (2, 2, 2, 1), 1), 3)}
 
 
 def test_table1_covers_difficult_pairs():
