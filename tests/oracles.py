@@ -20,6 +20,9 @@ candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature;
 table1_by_row_sets, the Table I loop that read each pair's word off
 bead-row sets (a symmetric difference, sorted) instead of bit masks;
+difficulty_rows_by_cancel, the pair criterion that reduces every pair's
+word, with no bit test in front; table2_candidates_by_pair_scan, Table II's
+candidates from every ordered pair of Table I rows;
 signature_by_residue, the signed word of one residue filtered from all
 nodes and sorted, which the library replaced by one walk along the rim;
 shortest_certificate_length, the certifier's search redone as level sets
@@ -43,7 +46,8 @@ from selfext.partitions import (add_node, height, is_p_regular,
 from selfext.signatures import (SignatureReport, cancel_word, e_tilde, f_tilde,
                                 signature, signatures)
 from selfext.specht import SpechtResult
-from selfext.tables import RunnerPairConfig, locally_difficult
+from selfext.tables import (RunnerPairConfig, RunnerTripleConfig,
+                            _mask_word, locally_difficult)
 
 
 # ---------------------------------------------------------------------------
@@ -732,3 +736,28 @@ def table1_by_row_sets(max_weight):
                             found.append(RunnerPairConfig(left, right, gap))
     found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))
     return found
+
+
+def difficulty_rows_by_cancel(left, right):
+    """(good row, cogood row) of a difficult pair given as the bit mask of
+    each runner's rows, or None, read off the reduced word of every pair."""
+    plus, minus = cancel_word(_mask_word(left, right))
+    if not (minus and plus and minus[0] == plus[-1] + 1):
+        return None
+    return minus[0], plus[-1]
+
+
+def table2_candidates_by_pair_scan(pairs):
+    """Table II's candidates from every ordered pair of Table I rows whose
+    runners chain, in table2_candidates's order."""
+    out = []
+    for first in pairs:
+        for second in pairs:
+            if first.right != second.left:
+                continue
+            triple = RunnerTripleConfig(first.left, first.right, second.right,
+                                        first.gap, second.gap)
+            if triple.weight <= 7:
+                out.append(triple)
+    out.sort(key=lambda t: (t.weight, t.gaps, t.right, t.middle, t.left))
+    return out

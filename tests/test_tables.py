@@ -15,6 +15,7 @@ from selfext.signatures import is_difficult, signature
 from selfext.tables import (
     RunnerPairConfig,
     RunnerTripleConfig,
+    _difficulty_rows,
     _mask_word,
     derive_table1,
     derive_table2,
@@ -134,6 +135,22 @@ def test_locally_difficult_examples():
 def test_local_signature_gap_dominates():
     sig = local_signature(RunnerPairConfig((), (), 3))
     assert sig.epsilon == 3 and sig.phi == 0
+
+
+def test_difficulty_rows_matches_the_reduced_word_on_every_small_pair():
+    # the bit test in front of the word refuses no difficult pair
+    for left in range(2 ** 8):
+        for right in range(2 ** 8):
+            assert (_difficulty_rows(left, right)
+                    == oracles.difficulty_rows_by_cancel(left, right)), \
+                (left, right)
+
+
+def test_table2_candidates_match_the_pair_scan_in_order():
+    for k in range(2, 8):
+        pairs = derive_table1(k)
+        assert (table2_candidates(pairs)
+                == oracles.table2_candidates_by_pair_scan(pairs)), k
 
 
 def test_table2_candidates_are_the_chained_pairs():
