@@ -79,7 +79,12 @@ def add_p_rim(mu, p: int, a: int, s: int):
 def mullineux(la, p: int) -> tuple:
     """Image of la under the Mullineux involution (sign-twist of simples)."""
     p = check_p(p)
-    columns = p_rim_symbol(check_regular(la, p), p)
+    return mullineux_image(check_regular(la, p), p)
+
+
+def mullineux_image(la, p: int) -> tuple:
+    """mullineux of a p-regular normalised tuple and a checked p."""
+    columns = p_rim_symbol(la, p)
     out = ()
     for a, r in reversed(columns):
         eps = 0 if a % p == 0 else 1
@@ -98,12 +103,16 @@ def ladder_counts(la, p: int) -> dict:
 
 
 def regularize(la, p: int) -> tuple:
-    """Slide nodes up their ladders: the p-regular partition la^R >= la.
+    """Slide nodes up their ladders: the p-regular partition la^R >= la."""
+    return regularization(check_partition(la), check_p(p))
+
+
+def regularization(la, p: int) -> tuple:
+    """regularize of a normalised tuple and a checked p.
 
     Ladder ell's slots run down from row (ell-1) % (p-1) + 1 every p-1 rows.
     Its k nodes fill the k highest, the k-th never below la's k-th node on it.
     """
-    la, p = check_partition(la), check_p(p)
     counts = ladder_counts(la, p)
     rows = [0] * (len(la) + 1)  # nodes per row, from row 1; the last stays 0
     for ell, k in counts.items():

@@ -18,7 +18,7 @@ from .partitions import (MAX_SIZE, add_node, check_integer, check_partition,
                          remove_node, size)
 from .abacus import core_weight
 from .signatures import add_conormals, difficult, remove_normals, signatures
-from .bijections import mullineux, regularize
+from .bijections import mullineux_image, regularize
 from .blocks import rouquier_counts
 from .specht import first_specht_witness, specht_irreducible
 
@@ -100,6 +100,9 @@ def _normalize_rules(enabled_rules) -> frozenset:
     unknown = rules - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
+    if rules.isdisjoint(TERMINAL_TAGS):  # such a search certifies nothing
+        raise ValueError(f"no terminal rule enabled; enable one of "
+                         f"{', '.join(TERMINAL_TAGS)}")
     return rules
 
 
@@ -206,12 +209,13 @@ def _specht_terminal(la, p: int, reports):
 # validate replays against them.  Every entry takes (la, p, reports), where
 # reports is signatures or a memo of it, read for la and for the partitions
 # R-SOCLE and R-TRICK2 look ahead to.  Entries call through the module
-# globals (never store e.g. mullineux itself) so that wrappers installed
-# later, such as a call tracer, see every call.
+# globals (never store e.g. mullineux_image itself) so that wrappers
+# installed later, such as a call tracer, see every call.  They call the
+# unchecked kernels: certify checks the root and validate each source.
 #
 # Reductions in search order: edges(la, p, reports) -> [(params, target)].
 REDUCTIONS = {
-    "R-MULLINEUX": lambda la, p, reports: [({}, mullineux(la, p))],
+    "R-MULLINEUX": lambda la, p, reports: [({}, mullineux_image(la, p))],
     "R-REFLECT": _reflect_edges,
     "R-TRICK1": _trick1_edges,
     "R-SOCLE": _socle_edges,

@@ -22,7 +22,12 @@ from .tables import derive_table1, derive_table2
 
 
 def _workers() -> int:
-    requested = int(os.environ.get("SELFEXT_WORKERS", "1"))
+    value = os.environ.get("SELFEXT_WORKERS", "1")
+    try:
+        requested = int(value)
+    except ValueError:
+        raise ValueError(f"SELFEXT_WORKERS must be an integer, "
+                         f"got {value!r}") from None
     return max(1, min(requested, os.cpu_count() or 1))
 
 
@@ -30,15 +35,16 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
     print(json.dumps(payload, indent=2) if as_json else text)
 
 
+# Handlers read args.p and args.partition as run() checked them.
+
 def _cmd_analyze(args) -> int:
-    p = check_prime(args.p)
-    la = parse_partition(args.partition)
+    la, p = args.partition, args.p
     core, weight = core_and_weight(la, p)
     residues = [{
         "residue": sig.residue,
-        "word": [[list(node), sign] for node, sign in sig.word],
-        "normals": [list(node) for node in sig.normals],
-        "conormals": [list(node) for node in sig.conormals],
+        "word": sig.word,
+        "normals": sig.normals,
+        "conormals": sig.conormals,
         "epsilon": sig.epsilon,
         "phi": sig.phi,
         "epsilon_prime": sig.epsilon_prime,
@@ -47,23 +53,15 @@ def _cmd_analyze(args) -> int:
         "cogood": list(sig.cogood) if sig.cogood else None,
     } for sig in signatures(la, p)]
     regular = is_p_regular(la, p)
-    payload = {
-        "partition": list(la),
-        "p": p,
-        "core": list(core),
-        "weight": weight,
-        "regular": regular,
-        "mullineux": list(mullineux(la, p)) if regular else None,
-        "regularization": list(regularize(la, p)),
-        "residues": residues,
-    }
+    payload = {"partition": la, "p": p, "core": core, "weight": weight,
+               "regular": regular,
+               "mullineux": mullineux(la, p) if regular else None,
+               "regularization": regularize(la, p), "residues": residues}
     lines = [f"partition {format_partition(la)} (p={p})",
              f"core {format_partition(core)}, weight {weight}",
              f"{p}-regular: {'yes' if regular else 'no'}"]
-    for entry in residues:
-        lines.append(f"residue {entry['residue']}: eps={entry['epsilon']} "
-                     f"phi={entry['phi']} good={entry['good']} "
-                     f"cogood={entry['cogood']}")
+    lines += [f"residue {e['residue']}: eps={e['epsilon']} phi={e['phi']} "
+              f"good={e['good']} cogood={e['cogood']}" for e in residues]
     if regular:
         lines.append(f"mullineux {format_partition(payload['mullineux'])}")
     lines.append(f"regularization {format_partition(payload['regularization'])}")
@@ -72,12 +70,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    p = check_prime(args.p)
-    la = parse_partition(args.partition)
-    rules = None
-    if args.rules:
-        rules = {tag.strip() for tag in args.rules.split(",") if tag.strip()}
-    cert = certify(la, p, enabled_rules=rules, max_steps=args.max_steps)
+    rules = ({tag.strip() for tag in args.rules.split(",") if tag.strip()}
+             if args.rules else None)
+    cert = certify(args.partition, args.p, enabled_rules=rules,
+                   max_steps=args.max_steps)
     if args.json:
         print(json.dumps(cert.to_dict(), indent=2))
     elif cert.status == "CERTIFIED":
@@ -105,7 +101,7 @@ def _survey_one(task):
 
 
 def _cmd_survey(args) -> int:
-    p = check_prime(args.p)
+    p = args.p
     if args.n < 0:
         raise ValueError("n must be non-negative")
     tasks = [(la, p) for la in partitions_of(args.n) if is_p_regular(la, p)]
@@ -120,81 +116,68 @@ def _cmd_survey(args) -> int:
     invalid = sorted(la for la, status, _, ok in results
                      if status == "CERTIFIED" and not ok)
     certified = len(results) - len(unknown)
-    payload = {
-        "p": p,
-        "n": args.n,
-        "total": len(results),
-        "certified": certified,
-        "unknown": [list(la) for la in unknown],
-        "invalid": [list(la) for la in invalid],
-        "rule_usage": dict(sorted(usage.items())),
-    }
+    payload = {"p": p, "n": args.n, "total": len(results),
+               "certified": certified, "unknown": unknown, "invalid": invalid,
+               "rule_usage": dict(sorted(usage.items()))}
     lines = [f"certified {certified}/{len(results)} {p}-regular partitions "
-             f"of {args.n}"]
-    lines.append("rule usage: " + ", ".join(
-        f"{tag}={count}" for tag, count in sorted(usage.items())))
-    for la in unknown:
-        lines.append(f"UNKNOWN {format_partition(la)}")
-    for la in invalid:
-        lines.append(f"INVALID CERTIFICATE {format_partition(la)}")
+             f"of {args.n}",
+             "rule usage: " + ", ".join(
+                 f"{tag}={count}" for tag, count in sorted(usage.items()))]
+    lines += [f"UNKNOWN {format_partition(la)}" for la in unknown]
+    lines += [f"INVALID CERTIFICATE {format_partition(la)}" for la in invalid]
     _emit(payload, "\n".join(lines), args.json)
     return 0 if not unknown and not invalid else 1
 
 
 def _load_golden(name: str) -> list:
-    text = resources.files("selfext").joinpath(f"data/{name}").read_text()
-    return json.loads(text)
+    return json.loads(
+        resources.files("selfext").joinpath(f"data/{name}").read_text())
+
+
+def _match(derived: Counter, expected: Counter) -> dict:
+    """Derived rows against the golden file's, both as multisets."""
+    return {"derived": sum(derived.values()),
+            "expected": sum(expected.values()),
+            "matched": sum((derived & expected).values()),
+            "match": derived == expected}
 
 
 def _cmd_verify_tables(args) -> int:
     rows1 = derive_table1(args.max_weight)
-    derived1 = Counter((c.left, c.right, c.gap) for c in rows1)
-    expected1 = Counter(
-        (parse_partition(row["left"]), parse_partition(row["right"]),
-         row["gap"])
-        for row in _load_golden("table1.json")
-        if row["weight"] <= args.max_weight)
-    matched1 = sum((derived1 & expected1).values())
-    ok = derived1 == expected1
-    report = {"table1": {"derived": sum(derived1.values()),
-                         "expected": sum(expected1.values()),
-                         "matched": matched1, "match": derived1 == expected1}}
-    parts = [f"Table I: {matched1}/{sum(expected1.values())} match"]
+    report = {"table1": _match(
+        Counter((c.left, c.right, c.gap) for c in rows1),
+        Counter((parse_partition(row["left"]), parse_partition(row["right"]),
+                 row["gap"])
+                for row in _load_golden("table1.json")
+                if row["weight"] <= args.max_weight))}
     if args.max_weight == 7:
-        derived2 = Counter((t.left, t.middle, t.right, t.gaps)
-                           for t in derive_table2(rows1))
-        expected2 = Counter(
-            (parse_partition(row["left"]), parse_partition(row["middle"]),
-             parse_partition(row["right"]), tuple(row["gaps"]))
-            for row in _load_golden("table2.json"))
-        matched2 = sum((derived2 & expected2).values())
-        ok = ok and derived2 == expected2
-        report["table2"] = {"derived": sum(derived2.values()),
-                            "expected": sum(expected2.values()),
-                            "matched": matched2, "match": derived2 == expected2}
-        parts.append(f"Table II: {matched2}/{sum(expected2.values())} match")
-    _emit(report, "; ".join(parts), args.json)
-    return 0 if ok else 1
+        report["table2"] = _match(
+            Counter((t.left, t.middle, t.right, t.gaps)
+                    for t in derive_table2(rows1)),
+            Counter((parse_partition(row["left"]),
+                     parse_partition(row["middle"]),
+                     parse_partition(row["right"]), tuple(row["gaps"]))
+                    for row in _load_golden("table2.json")))
+    _emit(report, "; ".join(
+        f"{title}: {table['matched']}/{table['expected']} match"
+        for title, table in zip(("Table I", "Table II"), report.values())),
+        args.json)
+    return 0 if all(table["match"] for table in report.values()) else 1
 
 
 def _cmd_enumerate_block(args) -> int:
-    p = check_prime(args.p)
     core = parse_partition(args.core)
-    block = BlockId(core, args.weight, p)
-    members = enumerate_block(block, regular_only=args.regular)
+    members = enumerate_block(BlockId(core, args.weight, args.p),
+                              regular_only=args.regular)
     members.sort(reverse=True)
-    payload = {"core": list(core), "weight": args.weight, "p": p,
-               "regular_only": args.regular,
-               "partitions": [list(la) for la in members]}
-    _emit(payload, "\n".join(format_partition(la) for la in members),
-          args.json)
+    payload = {"core": core, "weight": args.weight, "p": args.p,
+               "regular_only": args.regular, "partitions": members}
+    _emit(payload, "\n".join(map(format_partition, members)), args.json)
     return 0
 
 
 def _cmd_specht(args) -> int:
-    p = check_prime(args.p)
-    la = parse_partition(args.partition)
-    result = specht_irreducible(la, p)
+    result = specht_irreducible(args.partition, args.p)
     lines = ["irreducible" if result.irreducible else "reducible"]
     if args.witness and result.beads is not None:
         lines.append(f"beads {result.beads}, runners "
@@ -204,12 +187,9 @@ def _cmd_specht(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    """Apply mullineux or regularize, named by the subcommand and looked up
-    at call time."""
-    p = check_prime(args.p)
-    la = parse_partition(args.partition)
-    out = globals()[args.command](la, p)
-    _emit({"input": list(la), "output": list(out), "p": p},
+    """Apply mullineux or regularize, looked up by name at call time."""
+    out = globals()[args.command](args.partition, args.p)
+    _emit({"input": args.partition, "output": out, "p": args.p},
           format_partition(out), args.json)
     return 0
 
@@ -221,35 +201,35 @@ def _build_parser() -> argparse.ArgumentParser:
                     "self-extension vanishing for symmetric groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, partition=True, **kwargs):
+        """A subcommand with --json, and the partition and --p if partition."""
         cmd = sub.add_parser(name, **kwargs)
         cmd.set_defaults(func=func)
         cmd.add_argument("--json", action="store_true",
                          help="machine-readable output")
+        if partition:
+            cmd.add_argument("partition")
+            cmd.add_argument("--p", type=int, required=True)
         return cmd
 
-    cmd = add("analyze", _cmd_analyze,
-              help="core, weight, signatures, Mullineux, regularization")
-    cmd.add_argument("partition")
-    cmd.add_argument("--p", type=int, required=True)
+    add("analyze", _cmd_analyze,
+        help="core, weight, signatures, Mullineux, regularization")
 
     cmd = add("certify", _cmd_certify,
               help="search for an Ext-vanishing certificate")
-    cmd.add_argument("partition")
-    cmd.add_argument("--p", type=int, required=True)
     cmd.add_argument("--rules", help="comma-separated rule tags to enable")
     cmd.add_argument("--max-steps", type=int, default=64)
 
-    cmd = add("survey", _cmd_survey,
+    cmd = add("survey", _cmd_survey, partition=False,
               help="batch-certify all p-regular partitions of n")
     cmd.add_argument("--p", type=int, required=True)
     cmd.add_argument("--n", type=int, required=True)
 
-    cmd = add("verify-tables", _cmd_verify_tables,
+    cmd = add("verify-tables", _cmd_verify_tables, partition=False,
               help="re-derive the difficulty tables against the golden files")
     cmd.add_argument("--max-weight", type=int, default=7)
 
-    cmd = add("enumerate-block", _cmd_enumerate_block,
+    cmd = add("enumerate-block", _cmd_enumerate_block, partition=False,
               help="list the partitions of a block")
     cmd.add_argument("--core", required=True)
     cmd.add_argument("--weight", type=int, required=True)
@@ -259,28 +239,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = add("specht-irreducible", _cmd_specht,
               help="test irreducibility of a Specht module")
-    cmd.add_argument("partition")
-    cmd.add_argument("--p", type=int, required=True)
     cmd.add_argument("--witness", action="store_true",
                      help="show the display and runner pair found")
 
     for name, text in (("mullineux", "apply the Mullineux map"),
                        ("regularize", "apply regularization")):
-        cmd = add(name, _cmd_map, help=text)
-        cmd.add_argument("partition")
-        cmd.add_argument("--p", type=int, required=True)
+        add(name, _cmd_map, help=text)
 
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse argv, run the subcommand, and return the exit status."""
+    """Parse argv, check p and the partition (p first), run the subcommand,
+    and return the exit status."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if "p" in vars(args):
+            args.p = check_prime(args.p)
+        if "partition" in vars(args):
+            args.partition = parse_partition(args.partition)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from .partitions import (check_p, check_partition, check_regular,
                          is_p_regular, p_restricted, partitions_of)
 from .abacus import (bead_rows, component_from_rows, core_weight,
                      from_runner_rows, rows_for_component)
-from .bijections import regularize
+from .bijections import regularization
 from .signatures import remove_normals, signatures
 
 
@@ -137,7 +137,7 @@ def _block_index(core, w, p):
             if la:
                 rows[l] = rows_for_component(la, counts[l])
         nu = from_runner_rows(rows, p)
-        mu = regularize(nu, p)
+        mu = regularization(nu, p)
         if index.setdefault(mu, nu) != nu:
             raise RuntimeError(f"irreducible Specht labels {index[mu]} and "
                                f"{nu} both regularize to {mu} at p={p}")

@@ -15,6 +15,7 @@ from selfext import certifier, partitions, signatures as signatures_module
 from selfext.abacus import core_and_weight, from_runner_rows, rows_for_component
 from selfext.certifier import (
     ALL_RULES,
+    REDUCTION_TAGS,
     Certificate,
     Rule,
     Step,
@@ -181,6 +182,14 @@ def test_small_sweep_all_certified():
             assert validate(c)
 
 
+def test_a_rule_set_without_a_terminal_is_refused():
+    # such a search could never certify anything, so it is not an UNKNOWN
+    for rules in ({"R-MULLINEUX"}, [], set(REDUCTION_TAGS)):
+        with pytest.raises(ValueError, match="no terminal rule enabled"):
+            certify((3, 1), 3, enabled_rules=rules)
+    assert certify((3, 1), 3, enabled_rules={"t-small"}).status == "UNKNOWN"
+
+
 def test_unknown_result():
     c = certify((3, 1), 3, enabled_rules={"T-SMALL"})
     assert c.status == "UNKNOWN"
@@ -263,7 +272,8 @@ def test_rule_subset_searches():
 
 
 def test_certify_computes_each_twin_once(monkeypatch):
-    real_twin, real_small = certifier.mullineux, certifier.TERMINALS["T-SMALL"]
+    real_twin = certifier.mullineux_image
+    real_small = certifier.TERMINALS["T-SMALL"]
     calls = Counter()
     failed = set()  # partitions whose T-SMALL check has returned None
 
@@ -278,7 +288,7 @@ def test_certify_computes_each_twin_once(monkeypatch):
             failed.add(la)
         return params
 
-    monkeypatch.setattr(certifier, "mullineux", counting)
+    monkeypatch.setattr(certifier, "mullineux_image", counting)
     monkeypatch.setitem(certifier.TERMINALS, "T-SMALL", small)
     c = certify((2, 1), 3)
     assert c.terminal.tag == "T-WEIGHT" and not calls
@@ -544,9 +554,8 @@ def test_certify_checks_only_the_root(monkeypatch, la):
 
     patch_every_binding(monkeypatch, real, counting)
     certify(la, 3)
-    # mullineux and regularize are exported names the search still calls
-    assert callers["certify"] == 1
-    assert set(callers) <= {"certify", "mullineux", "regularize"}
+    # the search calls only unchecked kernels past the root
+    assert callers == {"certify": 1}
 
 
 def test_validate_accepts_any_specht_residue_whose_witness_holds():

@@ -7,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import selfext
 from selfext import cli, tables
 from selfext.certifier import certificate_from_dict, validate
@@ -95,15 +97,28 @@ def test_certify_unknown_exits_1(capsys):
     assert out.strip() == "UNKNOWN"
 
 
+# Each subcommand that takes --p, then the arguments it needs besides it.
+P_SUBCOMMANDS = {"analyze": ["2,1"], "certify": ["2,1"],
+                 "survey": ["--n", "3"],
+                 "enumerate-block": ["--core", "1", "--weight", "1"],
+                 "specht-irreducible": ["2,1"], "mullineux": ["2,1"],
+                 "regularize": ["2,1"]}
+
+
 def test_certify_usage_errors(capsys):
-    for argv in (["certify", "4,x", "--p", "3"],
-                 ["certify", "2,1", "--p", "4"],
-                 ["certify", "2,1", "--p", "2"],
-                 ["analyze", "2,3", "--p", "3"],
-                 ["certify", "1^100000000", "--p", "3"]):
-        code, _, err = capture(capsys, argv)
+    # run() checks p and the partition of every subcommand that takes them
+    for argv in ([[name, *rest, "--p", "4"]
+                  for name, rest in P_SUBCOMMANDS.items()]
+                 + [[name, "4,x", "--p", "3"] for name, rest in
+                    P_SUBCOMMANDS.items() if rest == ["2,1"]]
+                 + [["certify", "2,1", "--p", "2"],
+                    ["analyze", "2,3", "--p", "3"],
+                    ["certify", "1^100000000", "--p", "3"],
+                    ["certify", "3,1", "--p", "3", "--rules", ","],
+                    ["certify", "3,1", "--p", "3", "--rules", "R-MULLINEUX"]]):
+        code, out, err = capture(capsys, argv)
         assert code == 2, argv
-        assert err.startswith("error:")
+        assert out == "" and err.startswith("error:"), argv
 
 
 def test_huge_p_exits_2_at_once(capsys):
@@ -136,6 +151,11 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     monkeypatch.setenv("SELFEXT_WORKERS", "8")
     assert cli._workers() == 1
+    monkeypatch.setenv("SELFEXT_WORKERS", "abc")
+    with pytest.raises(ValueError) as raised:
+        cli._workers()
+    assert str(raised.value) == "SELFEXT_WORKERS must be an integer, got 'abc'"
+    assert run(["survey", "--p", "3", "--n", "5"]) == 2
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -6,10 +6,11 @@ import pytest
 
 import oracles
 import selfext
-from selfext import abacus, signatures, specht
+from selfext import abacus, bijections, certifier, signatures, specht
 from selfext.abacus import core_and_weight
 from selfext.bijections import regularize
 from selfext.blocks import BlockId, enumerate_block
+from selfext.certifier import certify
 from selfext.partitions import (
     add_node,
     is_p_regular,
@@ -399,6 +400,20 @@ def test_theorem_b_applicable_calls_no_exported_name(monkeypatch):
                          (abacus, "core_and_weight")):
         monkeypatch.setattr(module, name, exported, raising=False)
     assert theorem_b_applicable((6, 4, 2, 2, 1), 3) == (0, (6, 4, 2, 1, 1, 1))
+
+
+def test_the_search_calls_no_checked_name(monkeypatch):
+    def checked(*args):
+        raise AssertionError(f"a checked name was called with {args}")
+
+    _block_index.cache_clear()  # a cold cache builds block indexes too
+    for module in (bijections, certifier, specht):
+        for name in ("mullineux", "regularize"):
+            monkeypatch.setattr(module, name, checked, raising=False)
+    for n in (24, 25):
+        for la in partitions_of(n):
+            if is_p_regular(la, 3):
+                assert certify(la, 3).status == "CERTIFIED"
 
 
 def test_full_addition_preserves_irreducibility():
