@@ -13,9 +13,6 @@ import itertools
 import math
 import operator
 
-Partition = tuple
-Node = tuple
-
 MAX_SIZE = 100_000  # largest partition size (text, certify, validate) and p
 
 
@@ -98,11 +95,12 @@ def parse_partition(text: str) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"empty chunk in partition text {text!r}")
-        if "^" in chunk:
-            base, _, exp = chunk.partition("^")
-            value, mult = int(base), int(exp)
-        else:
-            value, mult = int(chunk), 1
+        base, caret, exp = chunk.partition("^")
+        try:
+            value, mult = int(base), int(exp) if caret else 1
+        except ValueError:
+            raise ValueError(f"non-integer chunk {chunk!r} in partition "
+                             f"text {text!r}") from None
         if mult <= 0:
             raise ValueError(f"bad multiplicity in {chunk!r}")
         total += max(abs(value), 1) * mult

@@ -20,50 +20,58 @@ from .abacus import from_runner_rows, rows_for_component
 from .signatures import cancel_word, difficult, signatures
 
 
+class _RunnerConfig:
+    """Adjacent runner components and the bead-count gap from each to the
+    next, named by a subclass's _components and _gaps; __post_init__ checks
+    them and keeps the weight."""
+
+    def __post_init__(self):
+        fields = vars(self)  # written in place: the dataclass is frozen
+        weight = 0
+        for name in self._components:
+            comp = fields[name] = check_partition(fields[name])
+            weight += size(comp)
+        for name in self._gaps:
+            gap = fields[name] = check_integer(fields[name], name)
+            if gap < 1:
+                raise ValueError(f"{name} must be positive, got {gap}")
+        fields["_weight"] = weight
+
+    @property
+    def weight(self) -> int:
+        return self._weight
+
+    def rows(self) -> list:
+        """Bead rows of the configured runners: the leftmost holds the
+        weight plus the gaps plus 2 beads, and each runner after it its gap
+        more than its left neighbour."""
+        comps = [getattr(self, name) for name in self._components]
+        spread = [getattr(self, name) for name in self._gaps]
+        base = self._weight + sum(spread) + 2
+        return [rows_for_component(comp, beads) for comp, beads
+                in zip(comps, itertools.accumulate(spread, initial=base))]
+
+
 @dataclass(frozen=True)
-class RunnerPairConfig:
+class RunnerPairConfig(_RunnerConfig):
     """Two adjacent runner components and their bead-count gap (right - left)."""
 
+    _components, _gaps = ("left", "right"), ("gap",)
     left: tuple
     right: tuple
     gap: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", check_partition(self.left))
-        object.__setattr__(self, "right", check_partition(self.right))
-        gap = check_integer(self.gap, "gap")
-        if gap < 1:
-            raise ValueError(f"gap must be positive, got {gap}")
-        object.__setattr__(self, "gap", gap)
-
-    @property
-    def weight(self) -> int:
-        return size(self.left) + size(self.right)
-
 
 @dataclass(frozen=True)
-class RunnerTripleConfig:
+class RunnerTripleConfig(_RunnerConfig):
     """Three adjacent runner components with consecutive bead-count gaps."""
 
+    _components, _gaps = ("left", "middle", "right"), ("gap1", "gap2")
     left: tuple
     middle: tuple
     right: tuple
     gap1: int
     gap2: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", check_partition(self.left))
-        object.__setattr__(self, "middle", check_partition(self.middle))
-        object.__setattr__(self, "right", check_partition(self.right))
-        for name in ("gap1", "gap2"):
-            gap = check_integer(getattr(self, name), name)
-            if gap < 1:
-                raise ValueError(f"{name} must be positive, got {gap}")
-            object.__setattr__(self, name, gap)
-
-    @property
-    def weight(self) -> int:
-        return size(self.left) + size(self.middle) + size(self.right)
 
     @property
     def gaps(self) -> tuple:
@@ -100,18 +108,9 @@ def _mask_word(left: int, right: int):
         diff ^= low
 
 
-def _config_rows(comps, spread) -> list:
-    """Bead rows of adjacent runners carrying comps: the leftmost holds
-    |comps| + sum(spread) + 2 beads, and each runner after it spread[k] more
-    than its left neighbour."""
-    base = sum(map(size, comps)) + sum(spread) + 2
-    return [rows_for_component(comp, beads) for comp, beads
-            in zip(comps, itertools.accumulate(spread, initial=base))]
-
-
 def local_signature(pair: RunnerPairConfig) -> LocalSignature:
     """Signature of the pair's residue, computed from the two runners alone."""
-    left, right = _config_rows((pair.left, pair.right), (pair.gap,))
+    left, right = pair.rows()
     entries = tuple(_mask_word(_rows_mask(left), _rows_mask(right)))
     plus, minus = cancel_word(entries)
     return LocalSignature(
@@ -153,7 +152,7 @@ def derive_table1(max_weight: int) -> list:
     right runner's gap extra beads shift its mask up gap rows and fill the
     rows below.  A bead added to both runners shifts the word up one row,
     which leaves the criterion unchanged.  A RunnerPairConfig is built only
-    for the rows kept.
+    for the rows kept, once they are sorted.
 
     Deterministic order: (weight, gap descending, right component, left
     component); max_weight above 7 is outside the verified range and refused.
@@ -172,9 +171,9 @@ def derive_table1(max_weight: int) -> list:
                     for gap in range(1, w):
                         if _difficulty_rows(masks[left], masks[right] << gap
                                             | (1 << gap) - 1):
-                            found.append(RunnerPairConfig(left, right, gap))
-    found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))
-    return found
+                            found.append((w, -gap, right, left))
+    return [RunnerPairConfig(left, right, -minus_gap)
+            for _, minus_gap, right, left in sorted(found)]
 
 
 def _difficulty_rows(left: int, right: int):
@@ -235,8 +234,7 @@ def table2_candidates(pairs=None) -> list:
 
 
 def _joint_difficult(triple: RunnerTripleConfig) -> bool:
-    left, middle, right = map(_rows_mask, _config_rows(
-        (triple.left, triple.middle, triple.right), (triple.gap1, triple.gap2)))
+    left, middle, right = map(_rows_mask, triple.rows())
     first = _difficulty_rows(left, middle)
     second = _difficulty_rows(middle, right)
     if first is None or second is None:
@@ -251,7 +249,7 @@ def _joint_difficult(triple: RunnerTripleConfig) -> bool:
 def realize_config(config, p: int):
     """Embed a pair or triple into a p-runner abacus and decode the witness.
 
-    The configured runners take their rows from _config_rows.  Each spare
+    The configured runners take their rows from config.rows().  Each spare
     runner carries one filler so that the positions the full criterion checks
     off the configured runners are occupied: the rows of a component of
     weight 0..4 on floor..floor + 3 beads, where floor is one more than the
@@ -260,22 +258,14 @@ def realize_config(config, p: int):
     configured residue(s); raises if no placement at this p works.
     """
     p = check_p(p, 3)
-    if isinstance(config, RunnerPairConfig):
-        comps, spread = (config.left, config.right), (config.gap,)
-    elif isinstance(config, RunnerTripleConfig):
-        comps, spread = (config.left, config.middle, config.right), \
-                        (config.gap1, config.gap2)
-    else:
+    if not isinstance(config, _RunnerConfig):
         raise TypeError(f"expected a pair or triple config, got {config!r}")
-    span = len(comps)
-
-    own = _config_rows(comps, spread)
-    windows = []
-    for k in range(span - 1):
-        win = _difficulty_rows(_rows_mask(own[k]), _rows_mask(own[k + 1]))
-        if win is None:
-            raise ValueError(f"{config} is not (jointly) difficult")
-        windows.append(win[0])
+    own = config.rows()
+    span = len(own)
+    masks = list(map(_rows_mask, own))
+    windows = [_difficulty_rows(*pair) for pair in zip(masks, masks[1:])]
+    if None in windows:
+        raise ValueError(f"{config} is not (jointly) difficult")
 
     def candidates(required):
         floor = max(required) + 1
@@ -287,8 +277,8 @@ def realize_config(config, p: int):
                         if required.issubset(rows):
                             yield rows
 
-    need_below = frozenset(windows)
-    need_above = frozenset(t - 1 for t in windows)
+    need_below = frozenset(good for good, _ in windows)
+    need_above = frozenset(good - 1 for good, _ in windows)
     errors = []
     for j in range(span - 1, p):
         belows = list(candidates(need_below)) if j - span + 1 > 0 else [()]

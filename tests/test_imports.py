@@ -72,21 +72,37 @@ def exported_names(trees: dict) -> set:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def defined_names(node) -> list:
+    """The names a top-level statement defines: a function's or class's
+    name, or each plain name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+
+
 def unused_definitions(trees: dict) -> list:
-    """(module, name) of each top-level function or class that no module
-    reads outside its own definition and __init__.py does not import."""
+    """(module, name) of each top-level function, class or assigned name
+    that no module reads outside its own definition and __init__.py does not
+    import."""
     exported = exported_names(trees)
     out = []
     for module, tree in sorted(trees.items()):
         if module in ("__init__.py", "__main__.py"):
             continue
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in exported
-                    and not any(node.name in read_names(other, node)
-                                for name, other in trees.items()
-                                if name != "__init__.py")):
-                out.append((module, node.name))
+            for defined in defined_names(node):
+                if (defined not in exported
+                        and not any(defined in read_names(other, node)
+                                    for name, other in trees.items()
+                                    if name != "__init__.py")):
+                    out.append((module, defined))
     return out
 
 
@@ -102,8 +118,13 @@ def test_definition_guard_flags_a_test_only_helper():
                           "def helper():\n    return 1\n"
                           "def orphan(n):\n    return orphan(n - 1)\n"),
         "b.py": ast.parse("class Spare:\n    pass\n"),
+        "c.py": ast.parse("LIMIT = 3\nAlias = tuple\nLOW, HIGH = 0, 9\n"
+                          "SEEN: int = 1\nSPARE: int = 2\n"
+                          "print(LIMIT, HIGH, SEEN)\n"),
     }
-    assert unused_definitions(trees) == [("a.py", "orphan"), ("b.py", "Spare")]
+    assert unused_definitions(trees) == [("a.py", "orphan"), ("b.py", "Spare"),
+                                         ("c.py", "Alias"), ("c.py", "LOW"),
+                                         ("c.py", "SPARE")]
 
 
 CHECKS = {"check_partition", "check_regular"}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from selfext import cli
 from selfext.partitions import (
     add_node,
     MAX_SIZE,
@@ -154,6 +155,19 @@ def test_parse_rejects_malformed():
                  "100000000"):
         with pytest.raises(ValueError):
             parse_partition(text)
+
+
+def test_a_non_integer_chunk_is_named_with_its_text(capsys):
+    # int()'s own message named neither the chunk nor the partition text
+    for argv, chunk, text in (
+            (["certify", "4,x", "--p", "3"], "x", "4,x"),
+            (["certify", "4^y", "--p", "3"], "4^y", "4^y"),
+            (["enumerate-block", "--core", "2,x", "--weight", "1", "--p", "3"],
+             "x", "2,x")):
+        assert cli.run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: non-integer chunk {chunk!r} in "
+                                     f"partition text {text!r}\n"), argv
 
 
 def test_partitions_of_counts():

@@ -53,10 +53,41 @@ def test_runner_config_gaps_are_read_like_parts():
         RunnerTripleConfig((), (1, 1), (2, 2), 0, 1)
 
 
+@pytest.mark.parametrize("config, args, message", [
+    (RunnerPairConfig, ((1, 2), (), 1),
+     "parts must be weakly decreasing: (1, 2)"),
+    (RunnerPairConfig, ((), (1, 2), 1),
+     "parts must be weakly decreasing: (1, 2)"),
+    (RunnerPairConfig, ((), (), 0), "gap must be positive, got 0"),
+    (RunnerTripleConfig, ((1, 2), (), (), 1, 1),
+     "parts must be weakly decreasing: (1, 2)"),
+    (RunnerTripleConfig, ((), (1, 2), (), 1, 1),
+     "parts must be weakly decreasing: (1, 2)"),
+    (RunnerTripleConfig, ((), (), (1, 2), 1, 1),
+     "parts must be weakly decreasing: (1, 2)"),
+    (RunnerTripleConfig, ((), (), (), "x", 1),
+     "gap1 must be an integer, got 'x'"),
+    (RunnerTripleConfig, ((), (), (), 1, 0), "gap2 must be positive, got 0"),
+    # components are checked before gaps, and gap1 in full before gap2
+    (RunnerTripleConfig, ((), (), (1, 2), 0, 1),
+     "parts must be weakly decreasing: (1, 2)"),
+    (RunnerTripleConfig, ((), (), (), 0, "x"), "gap1 must be positive, got 0"),
+])
+def test_every_runner_config_field_is_checked(config, args, message):
+    with pytest.raises(ValueError) as info:
+        config(*args)
+    assert str(info.value) == message
+
+
 def test_runner_triple_config_structure():
     t = RunnerTripleConfig((), (1, 1), (2, 2), 1, 1)
     assert t.gaps == (1, 2)
     assert t.weight == 6
+    # components are normalized like check_partition's input
+    t = RunnerTripleConfig([2, 1, 0], (1,), (), 1, 2)
+    assert repr(t) == ("RunnerTripleConfig(left=(2, 1), middle=(1,), "
+                       "right=(), gap1=1, gap2=2)")
+    assert (t.weight, t.gaps) == (4, (1, 3))
 
 
 def test_table1_matches_golden_rows():
@@ -253,6 +284,11 @@ def test_realize_config_covers_tables():
     assert unplaced == {(RunnerPairConfig((1, 1, 1), (2, 2), 1), 3),
                         (RunnerPairConfig((1, 1), (2, 2, 1), 1), 3),
                         (RunnerPairConfig((), (2, 2, 2, 1), 1), 3)}
+
+
+def test_realize_config_refuses_a_plain_tuple():
+    with pytest.raises(TypeError, match="expected a pair or triple config"):
+        realize_config(((), (1, 1), 1), 3)
 
 
 def test_table1_covers_difficult_pairs():
