@@ -35,15 +35,17 @@ class BlockId:
 
 def _multipartitions(d: int, parts: int):
     """All tuples of `parts` partitions with total size d, in lex order of
-    (composition, partitions)."""
-    if parts == 1:
-        for la in partitions_of(d):
-            yield (la,)
+    (size descending, partitions_of order) per component.  A level places the
+    first non-empty component, so the recursion is at most d + 1 deep."""
+    if d == 0:
+        yield ((),) * parts
         return
-    for first_size in range(d, -1, -1):
-        for first in partitions_of(first_size):
-            for rest in _multipartitions(d - first_size, parts - 1):
-                yield (first,) + rest
+    for j in range(parts):  # j empty components, then a non-empty one
+        least = 0 if j < parts - 1 else d - 1  # the last one takes all of d
+        for size in range(d, least, -1):
+            for first in partitions_of(size):
+                for rest in _multipartitions(d - size, parts - j - 1):
+                    yield ((),) * j + (first,) + rest
 
 
 def enumerate_block(b: BlockId, regular_only: bool = False) -> list:

@@ -52,19 +52,18 @@ def check_integer(value, name: str) -> int:
 
 def check_p(p, least: int = 2) -> int:
     """p as an int, read like a part by check_integer (3.0 is 3; 2.5 and "3"
-    are refused); ValueError when it is below least."""
+    are refused); ValueError when it is below least or above MAX_SIZE."""
     p = check_integer(p, "p")
-    if p < least:
-        raise ValueError(f"p must be at least {least}, got {p}")
+    if not least <= p <= MAX_SIZE:
+        bound = f"at least {least}" if p < least else f"at most {MAX_SIZE}"
+        raise ValueError(f"p must be {bound}, got {p}")
     return p
 
 
 def check_prime(p, least: int = 2) -> int:
-    """check_p(p, least), refused unless it is a prime of at most MAX_SIZE
-    (the bound first, so a huge p never reaches the trial division)."""
+    """check_p(p, least), refused unless it is a prime (check_p bounds p
+    first, so a huge p never reaches the trial division)."""
     p = check_p(p, least)
-    if p > MAX_SIZE:
-        raise ValueError(f"p must be at most {MAX_SIZE}, got {p}")
     if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be prime, got {p}")
     return p

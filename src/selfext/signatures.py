@@ -6,9 +6,11 @@ bottom-left to the top-right of the diagram: the addable node below the last
 row, then, row by row upwards, each row's removable node and the addable node
 to its right.  One such walk sorts every node into the word of its residue,
 so all p words come out of it in reading order, with nothing filtered or
-sorted.  Adjacent "-+" pairs are erased.  Surviving "-" are the normal nodes
-A_1..A_eps labeled bottom to top (good node = A_1), surviving "+" the
-conormal nodes B_1..B_phi labeled top to bottom (cogood node = B_1).
+sorted.  A word keeps the walk's (node, sign) entries, the (label, sign)
+order that cancel_word reads, and adjacent "-+" pairs are erased.  Surviving
+"-" are the normal nodes A_1..A_eps labeled bottom to top (good node = A_1),
+surviving "+" the conormal nodes B_1..B_phi labeled top to bottom (cogood
+node = B_1).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .partitions import (add_node, check_integer, check_p, check_partition,
 
 @dataclass(frozen=True)
 class SignatureReport:
-    """Full residue-i signature data of a partition."""
+    """Residue-i signature of a partition; its counts are properties."""
 
     partition: tuple
     p: int
@@ -29,29 +31,39 @@ class SignatureReport:
     word: tuple          # ((node, sign), ...) in reading order
     normals: tuple       # A_1..A_eps, bottom to top
     conormals: tuple     # B_1..B_phi, top to bottom
-    epsilon: int
-    phi: int
-    epsilon_prime: int
-    phi_prime: int
 
     @property
-    def good(self):
-        """Bottom-most normal node, or None."""
+    def epsilon(self) -> int:
+        return len(self.normals)
+
+    @property
+    def phi(self) -> int:
+        return len(self.conormals)
+
+    @property
+    def epsilon_prime(self) -> int:  # removable nodes: the "-" entries
+        return sum(sign == "-" for _, sign in self.word)
+
+    @property
+    def phi_prime(self) -> int:  # addable nodes: the "+" entries
+        return sum(sign == "+" for _, sign in self.word)
+
+    @property
+    def good(self):  # the bottom-most normal node, or None
         return self.normals[0] if self.normals else None
 
     @property
-    def cogood(self):
-        """Top-most conormal node, or None."""
+    def cogood(self):  # the top-most conormal node, or None
         return self.conormals[0] if self.conormals else None
 
 
 def cancel_word(entries):
-    """Erase adjacent "-+" pairs from a signed word given as (sign, label)
+    """Erase adjacent "-+" pairs from a signed word given as (label, sign)
     entries in reading order; return the labels of the surviving "+" and
     of the surviving "-" entries, each in reading order."""
     pending = []
     plus = []
-    for sign, label in entries:
+    for label, sign in entries:
         if sign == "-":
             pending.append(label)
         elif pending:
@@ -75,11 +87,9 @@ def signatures(la, p: int) -> list:
             words[(part + 1 - row) % p].append(((row, part + 1), "+"))
     reports = []
     for i, word in enumerate(words):
-        plus, minus = cancel_word((sign, node) for node, sign in word)
-        pairs = (len(word) - len(plus) - len(minus)) // 2  # "-+" erased
-        reports.append(SignatureReport(
-            la, p, i, tuple(word), tuple(minus), tuple(reversed(plus)),
-            len(minus), len(plus), len(minus) + pairs, len(plus) + pairs))
+        plus, minus = cancel_word(word)
+        reports.append(SignatureReport(la, p, i, tuple(word), tuple(minus),
+                                       tuple(reversed(plus))))
     return reports
 
 

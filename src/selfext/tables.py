@@ -98,13 +98,13 @@ def _rows_mask(rows) -> int:
 
 
 def _mask_word(left: int, right: int):
-    """(sign, row) entries of the signed word of two runners' row masks, rows
-    ascending: a row with a bead on exactly one runner emits "+" for the left
-    runner, "-" for the right."""
+    """(row, sign) entries of the signed word of two runners' row masks, the
+    (label, sign) order cancel_word reads, rows ascending: a row with a bead
+    on exactly one runner emits "+" for the left runner, "-" for the right."""
     diff = left ^ right
     while diff:
         low = diff & -diff
-        yield ("-" if right & low else "+"), low.bit_length() - 1
+        yield low.bit_length() - 1, ("-" if right & low else "+")
         diff ^= low
 
 
@@ -114,8 +114,8 @@ def local_signature(pair: RunnerPairConfig) -> LocalSignature:
     entries = tuple(_mask_word(_rows_mask(left), _rows_mask(right)))
     plus, minus = cancel_word(entries)
     return LocalSignature(
-        word="".join(sign for sign, _ in entries),
-        rows=tuple(row for _, row in entries),
+        word="".join(sign for _, sign in entries),
+        rows=tuple(row for row, _ in entries),
         epsilon=len(minus),
         phi=len(plus),
         good_row=minus[0] if minus else None,

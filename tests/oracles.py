@@ -303,8 +303,9 @@ def rouquier_by_full_scan(rho, p, d):
 
 def signature_by_residue(la, p, i):
     """The residue-i signature report read one residue at a time: keep the
-    removable and addable nodes of residue i, sort them by content, cancel
-    "-+" pairs, and count the removable and addable nodes of the word."""
+    removable and addable nodes of residue i, sort them by content, and erase
+    adjacent "-+" pairs one at a time until none is left (not cancel_word's
+    single pass)."""
     entries = sorted([(col - row, (row, col), "-")
                       for row, col in removable_nodes(la)
                       if node_residue((row, col), p) == i]
@@ -312,11 +313,16 @@ def signature_by_residue(la, p, i):
                         for row, col in addable_nodes(la)
                         if node_residue((row, col), p) == i])
     word = tuple((node, sign) for _, node, sign in entries)
-    plus, minus = cancel_word((sign, node) for node, sign in word)
-    removable = sum(sign == "-" for _, sign in word)
-    return SignatureReport(la, p, i, word, tuple(minus), tuple(reversed(plus)),
-                           len(minus), len(plus), removable,
-                           len(word) - removable)
+    reduced = list(word)
+    while True:
+        pair = next((k for k in range(len(reduced) - 1)
+                     if (reduced[k][1], reduced[k + 1][1]) == ("-", "+")), None)
+        if pair is None:
+            break
+        del reduced[pair:pair + 2]
+    normals = tuple(node for node, sign in reduced if sign == "-")
+    conormals = tuple(node for node, sign in reversed(reduced) if sign == "+")
+    return SignatureReport(la, p, i, word, normals, conormals)
 
 
 def difficult_abacus_check(la, p, i):
@@ -731,7 +737,7 @@ def table1_by_row_sets(max_weight):
                         rows = sorted(left_rows ^ set(right_rows))
                         word = "".join("+" if t in left_rows else "-"
                                        for t in rows)
-                        plus, minus = cancel_word(zip(word, rows))
+                        plus, minus = cancel_word(zip(rows, word))
                         if minus and plus and minus[0] == plus[-1] + 1:
                             found.append(RunnerPairConfig(left, right, gap))
     found.sort(key=lambda c: (c.weight, -c.gap, c.right, c.left))

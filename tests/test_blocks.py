@@ -57,6 +57,14 @@ def test_enumerate_block_weight_zero():
     assert enumerate_block(BlockId((4, 2, 1, 1), 0, 3)) == [(4, 2, 1, 1)]
 
 
+def test_enumerate_block_at_a_large_prime():
+    # one recursion level per runner once raised RecursionError from p ~ 1000
+    assert enumerate_block(BlockId((), 0, 1009)) == [()]
+    members = enumerate_block(BlockId((1,), 1, 1009))
+    assert len(set(members)) == len(members) == 1009
+    assert {sum(la) for la in members} == {1010}
+
+
 def test_enumerate_block_members_and_counts():
     for core in [(), (1,), (3, 1, 1)]:
         for d in range(4):

@@ -276,6 +276,12 @@ def test_enumerate_block_json(capsys):
     assert payload["partitions"] == [[3], [2, 1], [1, 1, 1]]
 
 
+def test_enumerate_block_at_a_large_prime(capsys):
+    code, out, err = capture(capsys, ["enumerate-block", "--core", "-",
+                                      "--weight", "0", "--p", "997"])
+    assert (code, out, err) == (0, "-\n", "")
+
+
 def test_specht_irreducible_text(capsys):
     code, out, _ = capture(capsys, ["specht-irreducible", "4,1,1,1",
                                     "--p", "3", "--witness"])

@@ -45,9 +45,18 @@ def test_rim_walk_matches_per_residue_oracle(p):
         for la in partitions_of(n):
             reports = signatures(la, p)
             assert len(reports) == p
+            removable = [node_residue(node, p)
+                         for node in oracles.removable_nodes(la)]
+            addable = [node_residue(node, p)
+                       for node in oracles.addable_nodes(la)]
             for i, rep in enumerate(reports):
-                # dataclass equality compares every field
-                assert rep == oracles.signature_by_residue(la, p, i), (la, i)
+                # dataclass equality compares the stored fields only
+                expected = oracles.signature_by_residue(la, p, i)
+                assert rep == expected, (la, i)
+                assert rep.epsilon == len(expected.normals), (la, i)
+                assert rep.phi == len(expected.conormals), (la, i)
+                assert rep.epsilon_prime == removable.count(i), (la, i)
+                assert rep.phi_prime == addable.count(i), (la, i)
 
 
 def test_signature_empty_partition():

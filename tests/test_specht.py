@@ -12,6 +12,7 @@ from selfext.bijections import regularize
 from selfext.blocks import BlockId, enumerate_block
 from selfext.certifier import certify
 from selfext.partitions import (
+    MAX_SIZE,
     add_node,
     is_p_regular,
     is_p_restricted,
@@ -343,7 +344,9 @@ P_CASES = [
 @pytest.mark.parametrize("func,args", P_CASES,
                          ids=[case[0].__name__ for case in P_CASES])
 def test_public_functions_check_p(func, args):
-    for bad in (0, 1, 2.5, "3", None):
+    # MAX_SIZE + 1: a function of p builds p words or runners, so a p above
+    # the bound would cost time and memory linear in p before failing
+    for bad in (0, 1, 2.5, "3", None, MAX_SIZE + 1):
         with pytest.raises(ValueError, match="p must be"):
             func(**args, p=bad)
     # repr, not ==: a result that kept the float 3.0 would still compare equal

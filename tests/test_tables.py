@@ -140,8 +140,8 @@ def test_scan_rows_matches_range_scan(left, right, overlap):
     for a, b in ((left, right), (right, left), (left, left), (left, ())):
         entries = list(_mask_word(sum(1 << t for t in a),
                                   sum(1 << t for t in b)))
-        word = "".join(sign for sign, _ in entries)
-        rows = tuple(t for _, t in entries)
+        word = "".join(sign for _, sign in entries)
+        rows = tuple(t for t, _ in entries)
         assert (word, rows) == _scan_rows_by_range(a, b)
 
 
