@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 
-from .partitions import check_p, check_partition, height
+from .partitions import check_p, check_partition
 
 
 def bead_rows(positions, p: int) -> list:
@@ -30,9 +30,9 @@ def from_runner_rows(rows, p: int) -> tuple:
 
 def rows_for_component(component, count: int) -> tuple:
     """Bead rows of a single runner carrying `component` with `count` beads."""
-    if count < height(component):
-        raise ValueError(f"need at least {height(component)} beads for {component}")
-    parts = component + (0,) * (count - height(component))
+    if count < len(component):
+        raise ValueError(f"need at least {len(component)} beads for {component}")
+    parts = component + (0,) * (count - len(component))
     return tuple(sorted(parts[i - 1] + count - i for i in range(1, count + 1)))
 
 

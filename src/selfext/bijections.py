@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import operator
 
-from .partitions import (check_p, check_partition, check_regular, height,
-                         is_p_regular)
+from .partitions import check_p, check_partition, check_regular, is_p_regular
 
 
 def peel_p_rim(la, p: int):
@@ -31,7 +30,7 @@ def p_rim_symbol(la, p: int):
     """Columns (a_k, r_k) = (rim size, height before peeling) down to empty."""
     columns = []
     while la:
-        h = height(la)
+        h = len(la)
         la, a = peel_p_rim(la, p)
         columns.append((a, h))
     return columns
@@ -78,8 +77,7 @@ def add_p_rim(mu, p: int, a: int, s: int):
 
 def mullineux(la, p: int) -> tuple:
     """Image of la under the Mullineux involution (sign-twist of simples)."""
-    p = check_p(p)
-    return mullineux_image(check_regular(la, p), p)
+    return mullineux_image(*check_regular(la, p))
 
 
 def mullineux_image(la, p: int) -> tuple:

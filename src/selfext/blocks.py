@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import (check_integer, check_p, check_partition,
-                         check_regular, height, is_p_regular, partitions_of)
+                         check_regular, is_p_regular, partitions_of)
 from .abacus import bead_rows, core_weight, from_runner_rows, rows_for_component
 
 
@@ -75,7 +75,7 @@ def rouquier_counts(core, p: int, d: int) -> bool:
     """is_rouquier's bead-count test on a p-core, a normalised tuple."""
     # One more bead moves runner j's beads to j + 1, and p-1's plus the new
     # bead at 0 to runner 0; p such rotations add one to every runner.
-    betas = rows_for_component(core, max(height(core), 1))  # rows on one runner
+    betas = rows_for_component(core, max(len(core), 1))  # rows on one runner
     counts = [len(rows) for rows in bead_rows(betas, p)]
     for _ in range(p):
         if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
@@ -86,6 +86,6 @@ def rouquier_counts(core, p: int, d: int) -> bool:
 
 def is_rock_block(la, p: int) -> bool:
     """True iff la lies in a block with a d-Rouquier core, d = wt(la)."""
-    p = check_p(p)
-    core, d = core_weight(check_regular(la, p), p)
+    la, p = check_regular(la, p)
+    core, d = core_weight(la, p)
     return rouquier_counts(core, p, d)

@@ -13,9 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .partitions import (MAX_SIZE, add_node, check_integer, check_partition,
-                         check_prime, height, is_p_regular, node_residue,
-                         remove_node, size)
+from .partitions import (add_node, check_integer, check_partition, check_prime,
+                         is_p_regular, node_residue, remove_node)
 from .abacus import core_weight
 from .signatures import add_conormals, difficult, remove_normals, signatures
 from .bijections import mullineux_image, regularize
@@ -225,11 +224,11 @@ REDUCTIONS = {
 
 # Terminal criteria in cost order: find(la, p, reports) -> params, or None.
 TERMINALS = {
-    "T-SMALL": lambda la, p, reports: {} if size(la) < p else None,
+    "T-SMALL": lambda la, p, reports: {} if sum(la) < p else None,
     "T-WEIGHT": lambda la, p, reports:
         {} if core_weight(la, p)[1] <= WEIGHT_BOUND else None,
     "T-HEIGHT": lambda la, p, reports:
-        {} if height(la) <= p + HEIGHT_MARGIN else None,
+        {} if len(la) <= p + HEIGHT_MARGIN else None,
     "T-ROCK": _rock_terminal,
     "T-SPECHT": _specht_terminal,
 }
@@ -254,8 +253,6 @@ def certify(la, p: int, enabled_rules=None, max_steps: int = 64) -> Certificate:
     la = check_partition(la)
     if not is_p_regular(la, p):  # check_regular would check p again
         raise ValueError(f"{la} is not {p}-regular")
-    if size(la) > MAX_SIZE:
-        raise ValueError(f"partition exceeds {MAX_SIZE} boxes")
     max_steps = check_integer(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -307,7 +304,7 @@ def _specht_witness_holds(params: dict, la, p: int) -> bool:
     if set(params) != {"residue", "witness"}:
         return False
     i, nu = params["residue"], tuple(params["witness"])
-    if i not in range(p) or size(nu) > MAX_SIZE:
+    if i not in range(p):
         return False
     sig = signatures(la, p)[i]
     return (regularize(nu, p) == remove_normals(sig, sig.epsilon)
@@ -327,8 +324,6 @@ def validate(cert: Certificate) -> bool:
         if cert.status != "CERTIFIED" or cert.terminal is None:
             return False
         chain = [check_partition(cert.start)]
-        if size(chain[0]) > MAX_SIZE:
-            return False
         for step in cert.steps:
             la = chain[-1]
             if check_partition(step.source) != la or not is_p_regular(la, p):

@@ -2,10 +2,11 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the trivial partition of 0.  Nodes are 1-based (row, col) pairs.
-Functions the package exports pass their input through check_partition, and
-p through check_p, once; the helpers below them take such tuples and ints as
-given, and remove_node/add_node take a node that a walk along the rim
-produced, checking nothing.
+Functions the package exports pass their input through check_partition, which
+also refuses more than MAX_SIZE boxes, and p through check_p, once (a
+p-regular label and p together through check_regular); the helpers below them
+take such tuples and ints as given, and remove_node/add_node take a node that
+a walk along the rim produced, checking nothing.
 """
 from __future__ import annotations
 
@@ -13,11 +14,12 @@ import itertools
 import math
 import operator
 
-MAX_SIZE = 100_000  # largest partition size (text, certify, validate) and p
+MAX_SIZE = 100_000  # largest p and partition size (check_partition)
 
 
 def check_partition(la) -> tuple:
-    """Normalize to a tuple, dropping trailing zeros; raise on bad input."""
+    """Normalize to a tuple, dropping trailing zeros; raise on bad input,
+    including a partition of more than MAX_SIZE boxes."""
     try:
         raw = tuple(la)
         parts = tuple(map(int, raw))
@@ -25,9 +27,8 @@ def check_partition(la) -> tuple:
         raise ValueError(f"parts must be finite: {la!r}") from None
     except TypeError:  # la not iterable, or a part such as None or 1j
         raise ValueError(f"parts must be integers: {la!r}") from None
-    # int() truncates 2.7; a digit string such as "3" is read as its integer
-    if parts != raw and any(part != x for part, x in zip(parts, raw)
-                            if not isinstance(x, str)):
+    # int() truncates 2.7 and reads the string "3" as 3; neither is a part
+    if parts != raw:
         raise ValueError(f"parts must be integers: {la!r}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]
@@ -35,6 +36,8 @@ def check_partition(la) -> tuple:
         raise ValueError(f"parts must be positive: {la!r}")
     if any(map(operator.lt, parts, parts[1:])):
         raise ValueError(f"parts must be weakly decreasing: {la!r}")
+    if sum(parts) > MAX_SIZE:
+        raise ValueError(f"partition exceeds {MAX_SIZE} boxes")
     return parts
 
 
@@ -67,16 +70,6 @@ def check_prime(p, least: int = 2) -> int:
     if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be prime, got {p}")
     return p
-
-
-def size(la) -> int:
-    """Number of boxes |la|."""
-    return sum(la)
-
-
-def height(la) -> int:
-    """Number of parts h(la)."""
-    return len(la)
 
 
 def parse_partition(text: str) -> tuple:
@@ -125,13 +118,13 @@ def is_p_regular(la, p: int) -> bool:
     return not any(map(operator.eq, la, la[p - 1:]))
 
 
-def check_regular(la, p: int) -> tuple:
-    """check_partition(la), then raise ValueError unless p passes check_p and
-    la is p-regular."""
-    la = check_partition(la)
-    if not is_p_regular(la, check_p(p)):
+def check_regular(la, p: int, least: int = 2) -> tuple:
+    """(la, p) after check_p(p, least), then check_partition(la); ValueError
+    unless la is p-regular."""
+    p, la = check_p(p, least), check_partition(la)
+    if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
-    return la
+    return la, p
 
 
 def is_p_restricted(la, p: int) -> bool:

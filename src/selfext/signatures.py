@@ -111,8 +111,7 @@ def add_conormals(sig: SignatureReport, r: int) -> tuple:
 
 def e_tilde(la, p: int, i: int, r: int = 1):
     """Remove the r bottom-most normal i-nodes; None if r exceeds epsilon_i."""
-    p = check_p(p)
-    la, r = check_regular(la, p), check_integer(r, "r")
+    (la, p), r = check_regular(la, p), check_integer(r, "r")
     if r < 0:
         raise ValueError("r must be non-negative")
     sig = signatures(la, p)[check_integer(i, "i") % p]
@@ -121,8 +120,7 @@ def e_tilde(la, p: int, i: int, r: int = 1):
 
 def f_tilde(la, p: int, i: int, r: int = 1):
     """Add the r top-most conormal i-nodes; None if r exceeds phi_i."""
-    p = check_p(p)
-    la, r = check_regular(la, p), check_integer(r, "r")
+    (la, p), r = check_regular(la, p), check_integer(r, "r")
     if r < 0:
         raise ValueError("r must be non-negative")
     sig = signatures(la, p)[check_integer(i, "i") % p]
@@ -140,6 +138,5 @@ def difficult(sig: SignatureReport) -> bool:
 def is_difficult(la, p: int, i: int) -> bool:
     """eps_i, phi_i > 0 and removing the good while adding the cogood node
     destroys p-regularity."""
-    p = check_p(p)
-    la = check_regular(la, p)
+    la, p = check_regular(la, p)
     return difficult(signatures(la, p)[check_integer(i, "i") % p])

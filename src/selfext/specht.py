@@ -150,8 +150,7 @@ def irreducible_specht_preimage(mu, p: int):
     Such a nu is unique for p > 2 and lies in mu's block; the answer is read
     from that block's index of irreducible Specht labels, built once per
     block in a bounded cache."""
-    p = check_p(p, 3)
-    mu = check_regular(mu, p)
+    mu, p = check_regular(mu, p, 3)
     return _block_index(*core_weight(mu, p), p).get(mu)
 
 
@@ -168,5 +167,5 @@ def first_specht_witness(reports, p: int):
 def theorem_b_applicable(la, p: int):
     """First (i, nu) with nu an irreducible-Specht preimage of e~_i^{eps_i} la;
     None when no residue works."""
-    p = check_p(p, 3)
-    return first_specht_witness(signatures(check_regular(la, p), p), p)
+    la, p = check_regular(la, p, 3)
+    return first_specht_witness(signatures(la, p), p)

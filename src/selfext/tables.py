@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .partitions import (check_integer, check_p, check_partition, height,
-                         is_p_regular, partitions_of, size)
+from .partitions import (check_integer, check_p, check_partition,
+                         is_p_regular, partitions_of)
 from .abacus import from_runner_rows, rows_for_component
 from .signatures import cancel_word, difficult, signatures
 
@@ -30,7 +30,7 @@ class _RunnerConfig:
         weight = 0
         for name in self._components:
             comp = fields[name] = check_partition(fields[name])
-            weight += size(comp)
+            weight += sum(comp)
         for name in self._gaps:
             gap = fields[name] = check_integer(fields[name], name)
             if gap < 1:
@@ -272,7 +272,7 @@ def realize_config(config, p: int):
         for w in range(5):
             for c in range(floor, floor + 4):
                 for comp in partitions_of(w):
-                    if height(comp) <= c:
+                    if len(comp) <= c:
                         rows = rows_for_component(comp, c)
                         if required.issubset(rows):
                             yield rows

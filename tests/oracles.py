@@ -41,8 +41,8 @@ from selfext.abacus import (bead_rows, component_from_rows, core_and_weight,
 from selfext.bijections import ladder_counts, peel_p_rim, regularize
 from selfext.blocks import BlockId, enumerate_block
 from selfext.certifier import REDUCTIONS, TERMINALS
-from selfext.partitions import (add_node, height, is_p_regular,
-                                is_p_restricted, node_residue, remove_node)
+from selfext.partitions import (add_node, is_p_regular, is_p_restricted,
+                                node_residue, remove_node)
 from selfext.signatures import (SignatureReport, cancel_word, e_tilde, f_tilde,
                                 signature, signatures)
 from selfext.specht import SpechtResult
@@ -429,7 +429,7 @@ def add_p_rim_by_search(mu, p: int, a: int, s: int):
                 return
         cand = tuple(parts)
         peeled, rim = peel_p_rim(cand, p)
-        if peeled == mu and rim == a and height(cand) == s:
+        if peeled == mu and rim == a and len(cand) == s:
             solutions.append(cand)
 
     def search(k, prev_end):

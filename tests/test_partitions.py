@@ -57,7 +57,7 @@ CHECK_PARTITION_PINS = [
     ((-1, 2), "parts must be positive: (-1, 2)"),
     ((1, 2), "parts must be weakly decreasing: (1, 2)"),
     ([3.0, 1], (3, 1)),
-    ("321", (3, 2, 1)),
+    ("321", "parts must be integers: '321'"),  # not read digit by digit
     ([2, float("inf")], "parts must be finite: [2, inf]"),  # JSON Infinity
     ((3, 2.7), "parts must be integers: (3, 2.7)"),  # int() would give 2
     ((Fraction(5, 2),), "parts must be integers: (Fraction(5, 2),)"),
@@ -66,6 +66,8 @@ CHECK_PARTITION_PINS = [
     ([1j], "parts must be integers: [1j]"),
     (None, "parts must be integers: None"),
     (5, "parts must be integers: 5"),
+    ((MAX_SIZE,), (MAX_SIZE,)),
+    ((MAX_SIZE, 1), f"partition exceeds {MAX_SIZE} boxes"),
 ]
 
 
@@ -222,11 +224,14 @@ def test_dominance_partial_order_on_small_sizes():
 
 
 def test_check_regular_normalises_and_rejects_singular():
-    assert check_regular([4, 2, 1, 0], 3) == (4, 2, 1)
+    assert check_regular([4, 2, 1, 0], 3) == ((4, 2, 1), 3)
     with pytest.raises(ValueError, match=r"^\(2, 1, 1, 1\) is not 3-regular$"):
         check_regular((2, 1, 1, 1), 3)
     with pytest.raises(ValueError, match="weakly decreasing"):
         check_regular((1, 2), 3)
+    # p is checked first, as by every function of p
+    with pytest.raises(ValueError, match="p must be"):
+        check_regular((1, 2), 2.5)
 
 
 def test_check_prime():

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 import selfext
-from selfext import abacus, bijections, certifier, signatures, specht
+from selfext import (abacus, bijections, certifier, partitions, signatures,
+                     specht)
 from selfext.abacus import core_and_weight
 from selfext.bijections import regularize
 from selfext.blocks import BlockId, enumerate_block
@@ -27,6 +28,7 @@ from selfext.specht import (
     specht_irreducible,
     theorem_b_applicable,
 )
+from test_certifier import patch_every_binding
 
 VERDICTS_P3 = {
     (4, 1, 1, 1): True,
@@ -299,7 +301,9 @@ BOUNDARY_CASES = [
 @pytest.mark.parametrize("func,la,rest", BOUNDARY_CASES,
                          ids=[case[0].__name__ for case in BOUNDARY_CASES])
 def test_public_functions_check_their_input(func, la, rest):
-    for bad in ((1, 2), (1, -1)):
+    # past the size bound the kernels would take time linear in the size,
+    # and a string would be read character by character
+    for bad in ((1, 2), (1, -1), (MAX_SIZE, 1), "21"):
         with pytest.raises(ValueError):
             func(bad, *rest)
     assert func([*la, 0], *rest) == func(la, *rest)
@@ -351,6 +355,20 @@ def test_public_functions_check_p(func, args):
             func(**args, p=bad)
     # repr, not ==: a result that kept the float 3.0 would still compare equal
     assert repr(func(**args, p=3.0)) == repr(func(**args, p=3))
+
+
+@pytest.mark.parametrize("func,args", P_CASES,
+                         ids=[case[0].__name__ for case in P_CASES])
+def test_public_functions_check_p_once(monkeypatch, func, args):
+    real, calls = partitions.check_p, []
+
+    def counting(p, least=2):
+        calls.append(p)
+        return real(p, least)
+
+    patch_every_binding(monkeypatch, real, counting)
+    func(**args, p=3)
+    assert calls == [3]
 
 
 def test_p_cases_cover_every_function_of_p():
