@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import (check_integer, check_p, check_partition,
+from .partitions import (MAX_SIZE, check_integer, check_p, check_partition,
                          check_regular, is_p_regular, partitions_of)
 from .abacus import bead_rows, core_weight, from_runner_rows, rows_for_component
 
@@ -50,7 +50,10 @@ def _multipartitions(d: int, parts: int):
 
 def enumerate_block(b: BlockId, regular_only: bool = False) -> list:
     """All partitions with the given core and weight, by distributing the
-    weight over the runners of the core's display as quotient components."""
+    weight over the runners of the core's display as quotient components;
+    ValueError, before any work, when the members exceed MAX_SIZE boxes."""
+    if b.n > MAX_SIZE:
+        raise ValueError(f"block members exceed {MAX_SIZE} boxes")
     p, d = b.p, b.weight
     # the core's h + 1 beads and d + 1 full rows: position 0 stays occupied
     base = bead_rows(rows_for_component(b.core, len(b.core) + 1), p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .partitions import (add_node, check_integer, check_partition, check_prime,
                          is_p_regular, node_residue, remove_node)
@@ -192,9 +193,21 @@ def _trick2_edges(la, p: int, reports) -> list:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _least_rouquier_size(p: int, d: int) -> int:
+    """Boxes of the least d-Rouquier p-core, whose runner k holds k(d-1)
+    beads (Chuang-Kessar, Bull. LMS 34 (2002)): a core's size counts the
+    (bead, empty slot below it) pairs, and each of the p - m runner pairs m
+    apart adds T(m(d-1)) of them, T(x) = x(x+1)/2."""
+    g = max(d - 1, 0)
+    return sum((p - m) * m * g * (m * g + 1) // 2 for m in range(1, p))
+
+
 def _rock_terminal(la, p: int, reports):
     """T-ROCK: la lies in a block whose core is d-Rouquier, d = wt(la)."""
     core, d = core_weight(la, p)
+    if sum(core) < _least_rouquier_size(p, d):  # too small to be d-Rouquier
+        return None
     return {} if rouquier_counts(core, p, d) else None
 
 

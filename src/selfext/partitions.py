@@ -23,9 +23,9 @@ def check_partition(la) -> tuple:
     try:
         raw = tuple(la)
         parts = tuple(map(int, raw))
-    except OverflowError:  # int(float("inf")); a NaN already gives ValueError
+    except OverflowError:  # int(float("inf"))
         raise ValueError(f"parts must be finite: {la!r}") from None
-    except TypeError:  # la not iterable, or a part such as None or 1j
+    except (TypeError, ValueError):  # not iterable; None, 1j, "x" or NaN
         raise ValueError(f"parts must be integers: {la!r}") from None
     # int() truncates 2.7 and reads the string "3" as 3; neither is a part
     if parts != raw:

@@ -87,6 +87,15 @@ def specht_irreducible(la, p: int) -> SpechtResult:
     return _irreducible(check_partition(la), check_p(p, 3))
 
 
+@lru_cache(maxsize=256)
+def _labels(v, p):
+    """The irreducible Specht labels of size v: the p-regular ones by
+    length and the p-restricted ones by first part, for every block."""
+    row = [la for la in partitions_of(v) if _irreducible(la, p)]
+    return (sorted((a for a in row if is_p_regular(a, p)), key=len),
+            sorted((b for b in row if p_restricted(b, p)), key=lambda b: b[:1]))
+
+
 @lru_cache(maxsize=1024)
 def _block_index(core, w, p):
     """nu^R -> nu for every nu in the block (core, w) with S^nu irreducible.
@@ -106,12 +115,7 @@ def _block_index(core, w, p):
     """
     if w == 0:
         return {core: core}
-    labels = [[la for la in partitions_of(v) if _irreducible(la, p)]
-              for v in range(w + 1)]
-    regular = [sorted((a for a in row if is_p_regular(a, p)), key=len)
-               for row in labels]
-    restricted = [sorted((b for b in row if p_restricted(b, p)),
-                         key=lambda b: b[:1]) for row in labels]
+    regular, restricted = zip(*(_labels(v, p) for v in range(w + 1)))
     beads = len(core) + p * w
     counts = [len(r) for r in bead_rows(rows_for_component(core, beads), p)]
     tops, gaps = _runner_bounds(counts, [()] * p, p)
@@ -154,11 +158,29 @@ def irreducible_specht_preimage(mu, p: int):
     return _block_index(*core_weight(mu, p), p).get(mu)
 
 
+@lru_cache(maxsize=4096)
+def _core_of_counts(counts):
+    """The p-core whose display has these runner bead counts (least 0)."""
+    return from_runner_rows([range(c) for c in counts], len(counts))
+
+
 def first_specht_witness(reports, p: int):
-    """theorem_b_applicable on the signature reports of a p-regular la."""
+    """theorem_b_applicable on the signature reports of a p-regular la.
+
+    With N = len(la) + 1 beads, removing a residue-i node moves a bead from
+    runner (i + N) mod p to the one before, so la's counts give each block."""
+    la = reports[0].partition
+    counts = [len(r) for r in bead_rows(rows_for_component(la, len(la) + 1), p)]
     for sig in reports:
-        mu = remove_normals(sig, sig.epsilon)  # p-regular, as la is
-        nu = _block_index(*core_weight(mu, p), p).get(mu)
+        eps, j = sig.epsilon, (sig.residue + len(la) + 1) % p
+        moved = counts.copy()
+        moved[j] -= eps
+        moved[j - 1] += eps
+        least = min(moved)
+        core = _core_of_counts(tuple(c - least for c in moved))
+        w = (sum(la) - eps - sum(core)) // p
+        mu = remove_normals(sig, eps)  # p-regular, as la is
+        nu = _block_index(core, w, p).get(mu)
         if nu is not None:
             return sig.residue, nu
     return None

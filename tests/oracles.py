@@ -25,6 +25,9 @@ word, with no bit test in front; table2_candidates_by_pair_scan, Table II's
 candidates from every ordered pair of Table I rows;
 signature_by_residue, the signed word of one residue filtered from all
 nodes and sorted, which the library replaced by one walk along the rim;
+cores_by_bead_counts and core_counts, every p-core up to a size from
+normalised bead counts and the count of them from their generating
+function;
 shortest_certificate_length, the certifier's search redone as level sets
 over its rule tables (rule_edges reads one rule's edges off the table);
 and, on top of selfext.signature, difficult_abacus_check (the abacus form
@@ -295,6 +298,52 @@ def rouquier_by_full_scan(rho, p, d):
         if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
             return True
     return False
+
+
+def cores_by_bead_counts(p, limit):
+    """Every p-core of at most `limit` boxes, from normalised runner bead
+    counts.  One more bead rotates the counts, so every core has a display
+    whose runner 0 holds fewest beads, and none once full rows are taken
+    off.  A core's size counts the (bead, empty slot below it) pairs, and
+    runners j < k holding a and b beads add T(b - a) of them when b >= a and
+    T(a - b - 1) otherwise (T(x) = x(x+1)/2), so the counts are extended
+    runner by runner while the pairs so far fit in `limit`."""
+    def pairs(a, b):
+        s = b - a if b >= a else a - b - 1
+        return s * (s + 1) // 2
+
+    found = set()
+
+    def extend(counts, left):
+        if len(counts) == p:
+            beads = sorted((j + p * t for j, c in enumerate(counts)
+                            for t in range(c)), reverse=True)
+            found.add(tuple(q - (len(beads) - 1 - i)
+                            for i, q in enumerate(beads)
+                            if q > len(beads) - 1 - i))
+            return
+        for b in itertools.count():
+            cost = sum(pairs(a, b) for a in counts)
+            if cost <= left:
+                extend(counts + (b,), left - cost)
+            elif b > max(counts):  # from here on the cost only grows
+                return
+
+    extend((0,), limit)
+    return found
+
+
+def core_counts(p, limit):
+    """The number of p-cores of each size up to limit: the coefficients of
+    prod_k (1 - q^{pk})^p / (1 - q^k)."""
+    series = [1] + [0] * limit
+    for k in range(1, limit + 1):
+        for n in range(k, limit + 1):  # divide by 1 - q^k
+            series[n] += series[n - k]
+        for _ in range(p if p * k <= limit else 0):  # times 1 - q^{pk}
+            for n in range(limit, p * k - 1, -1):
+                series[n] -= series[n - p * k]
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for block labels, block enumeration, and Rouquier/RoCK cores."""
 
 import sys
+import time
 
 import pytest
 
@@ -63,6 +64,20 @@ def test_enumerate_block_at_a_large_prime():
     members = enumerate_block(BlockId((1,), 1, 1009))
     assert len(set(members)) == len(members) == 1009
     assert {sum(la) for la in members} == {1010}
+
+
+def test_enumerate_block_refuses_members_above_max_size(monkeypatch):
+    # the weight-20001 block of the empty 5-core once ran past any timeout
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="block members exceed 100000 boxes"):
+        enumerate_block(BlockId((), 20001, 5))
+    assert time.perf_counter() - start < 1
+    # members of the 3-block of core (2) at weight 5 have 17 boxes
+    monkeypatch.setattr(blocks, "MAX_SIZE", 17)
+    assert len(enumerate_block(BlockId((2,), 5, 3))) == 108
+    monkeypatch.setattr(blocks, "MAX_SIZE", 16)
+    with pytest.raises(ValueError, match="block members exceed 16 boxes"):
+        enumerate_block(BlockId((2,), 5, 3))
 
 
 def test_enumerate_block_members_and_counts():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from selfext import certifier, partitions, signatures as signatures_module
 from selfext.abacus import core_and_weight, from_runner_rows, rows_for_component
+from selfext.blocks import rouquier_counts
 from selfext.certifier import (
     ALL_RULES,
     REDUCTION_TAGS,
@@ -75,6 +76,47 @@ def test_certify_without_weight_height_rock():
     assert c.status == "CERTIFIED"
     assert c.terminal.tag == "T-SPECHT"
     assert validate(c)
+
+
+# weight 8 and 21 rows on the least 8-Rouquier 3-core, of 161 boxes
+ROCK_ROOT = (45, 19, 17, 15, 13, 11, 9, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2,
+             1, 1)
+
+
+def test_certify_rock_terminal_on_the_least_rouquier_core():
+    least = from_runner_rows([range(7 * k) for k in range(3)], 3)
+    assert core_and_weight(ROCK_ROOT, 3) == (least, 8)
+    assert least == (21,) + ROCK_ROOT[1:] and sum(least) == 161
+    c = certify(ROCK_ROOT, 3)
+    assert (c.status, c.steps, c.terminal) == ("CERTIFIED", (),
+                                               Rule("T-ROCK", {}))
+    assert validate(certificate_from_dict(c.to_dict()))
+
+
+@pytest.mark.parametrize("p, limit, dmax", [(3, 200, 9), (5, 300, 4)])
+def test_rock_bound_is_the_least_rouquier_core(p, limit, dmax):
+    # T-ROCK refuses a core smaller than the least d-Rouquier core, whose
+    # runners hold 0, d-1, 2(d-1), ... beads, before its bead-count test:
+    # checked on every p-core of at most `limit` boxes
+    cores = oracles.cores_by_bead_counts(p, limit)
+    sizes = Counter(map(sum, cores))
+    assert [sizes[n] for n in range(limit + 1)] == oracles.core_counts(p, limit)
+    for d in range(dmax + 1):
+        bound = certifier._least_rouquier_size(p, d)
+        least = from_runner_rows([range(k * (d - 1)) for k in range(p)], p)
+        assert sum(least) == bound, (p, d)
+        assert rouquier_counts(least, p, d), (p, d)
+        assert oracles.rouquier_by_full_scan(least, p, d), (p, d)
+        assert (least in cores) == (bound <= limit), (p, d)
+        # the oracle tries every display: cheap enough at p = 3 only
+        for core in cores if p == 3 else ():
+            assert (rouquier_counts(core, p, d)
+                    == oracles.rouquier_by_full_scan(core, p, d)), (core, d)
+        for core in cores:
+            if sum(core) < bound:
+                assert not rouquier_counts(core, p, d), (core, p, d)
+    assert [certifier._least_rouquier_size(p, 8) for p in (3, 5)] == [161, 1295]
+    assert certifier._least_rouquier_size.cache_info().maxsize == 1024
 
 
 def trick1(la, p):

@@ -282,6 +282,15 @@ def test_enumerate_block_at_a_large_prime(capsys):
     assert (code, out, err) == (0, "-\n", "")
 
 
+def test_enumerate_block_above_max_size_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = capture(capsys, ["enumerate-block", "--core", "-",
+                                      "--weight", "20001", "--p", "5"])
+    assert (code, out, err) == (
+        2, "", "error: block members exceed 100000 boxes\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_specht_irreducible_text(capsys):
     code, out, _ = capture(capsys, ["specht-irreducible", "4,1,1,1",
                                     "--p", "3", "--witness"])

@@ -66,6 +66,10 @@ CHECK_PARTITION_PINS = [
     ([1j], "parts must be integers: [1j]"),
     (None, "parts must be integers: None"),
     (5, "parts must be integers: 5"),
+    # int() raises ValueError on these, and its own message once came out
+    (["x"], "parts must be integers: ['x']"),
+    ("2,1", "parts must be integers: '2,1'"),
+    ([float("nan")], "parts must be integers: [nan]"),
     ((MAX_SIZE,), (MAX_SIZE,)),
     ((MAX_SIZE, 1), f"partition exceeds {MAX_SIZE} boxes"),
 ]

@@ -20,10 +20,13 @@ from selfext.partitions import (
     partitions_of,
     transpose,
 )
-from selfext.signatures import signature
+from selfext.signatures import remove_normals, signature, signatures
 from selfext.specht import (
     _block_index,
+    _core_of_counts,
     _irreducible,
+    _labels,
+    first_specht_witness,
     irreducible_specht_preimage,
     specht_irreducible,
     theorem_b_applicable,
@@ -172,7 +175,10 @@ def test_block_index_matches_ladder_classes():
 def test_block_index_matches_display_oracle():
     # the runner-bound walk against the criterion checked display by
     # display, on every block the p-regular partitions reach; a block of
-    # weight 0 holds only its core, whose Specht module is irreducible
+    # weight 0 holds only its core, whose Specht module is irreducible.
+    # The caches start empty, so each block builds its labels from scratch
+    _block_index.cache_clear()
+    _labels.cache_clear()
     checked = 0
     for p, nmax in ((3, 22), (5, 16), (7, 15), (11, 13)):
         blocks = {core_and_weight(mu, p) for n in range(nmax + 1)
@@ -187,6 +193,31 @@ def test_block_index_matches_display_oracle():
             assert _block_index(core, w, p) == expected, (core, w, p)
         checked += len(blocks)
     assert checked == 937
+
+
+def test_image_blocks_from_bead_counts(monkeypatch):
+    # first_specht_witness reads the block of each e~_i^eps la off la's bead
+    # counts; every residue's block is asked for when no preimage is found
+    asked = []
+
+    def no_preimage(core, w, p):
+        asked.append((core, w))
+        return {}
+
+    monkeypatch.setattr(specht, "_block_index", no_preimage)
+    checked = 0
+    for p in (3, 5, 7):
+        for n in range(19):
+            for la in partitions_of(n):
+                if not is_p_regular(la, p):
+                    continue
+                reports = signatures(la, p)
+                asked.clear()
+                assert first_specht_witness(reports, p) is None
+                assert asked == [core_and_weight(remove_normals(s, s.epsilon), p)
+                                 for s in reports], (la, p)
+                checked += len(asked)
+    assert checked == 17459
 
 
 def test_block_index_commutes_with_the_sign_twist():
@@ -269,6 +300,8 @@ def test_three_busy_runners_are_reducible():
 
 def test_preimage_cache_is_bounded():
     assert _block_index.cache_info().maxsize == 1024
+    assert _labels.cache_info().maxsize == 256
+    assert _core_of_counts.cache_info().maxsize == 4096
 
 
 # Every exported function that takes a partition, with the rest of its
