@@ -7,7 +7,10 @@ the local signed word (rows scanned bottom to top) reduces exactly like the
 global one, independently of the remaining runners.  Each runner enters as
 the bit mask of a runner's rows (bit r set when row r holds a bead), built
 from abacus.rows_for_component; a pair's word is read off left ^ right and
-reduced by signatures.cancel_word.
+reduced by signatures.cancel_word.  The public RunnerPairConfig and
+RunnerTripleConfig constructors check every field; the rows derive_table1
+and table2_candidates build from components and gaps they made themselves
+(or from pairs already checked) are not checked again.
 """
 from __future__ import annotations
 
@@ -140,19 +143,21 @@ def locally_difficult(pair: RunnerPairConfig) -> bool:
 def derive_table1(max_weight: int) -> list:
     """All locally difficult runner pairs of combined weight <= max_weight.
 
-    Each candidate (left, right, gap) is decided by _difficulty_rows on the
-    bit mask of each runner's rows: the one pair criterion, which the
-    table-2 filter and realize_config use too (locally_difficult reads the
-    same condition off a full LocalSignature).  Most candidates never reach
-    the word: a difficult pair needs a "+" row (bead on the left runner only)
-    directly below a "-" row (bead on the right runner only), and
-    _difficulty_rows refuses a pair without one on a single bit test (227 of
-    the 1214 candidates at max_weight 7 pass it, 66 are difficult).  Each
-    component's mask is built once per call, at max_weight + 1 beads; the
-    right runner's gap extra beads shift its mask up gap rows and fill the
-    rows below.  A bead added to both runners shifts the word up one row,
-    which leaves the criterion unchanged.  A RunnerPairConfig is built only
-    for the rows kept, once they are sorted.
+    Each candidate (left, right, gap) is judged on the bit mask of each
+    runner's rows.  A difficult pair needs a "+" row (bead on the left runner
+    only) directly below a "-" row (bead on the right runner only), so one
+    bit test, left & ~right & (right & ~left) >> 1, written inline in the
+    candidate filter, refuses most candidates (227 of the 1214 at
+    max_weight 7 pass it).  Only those reach _difficulty_rows, the one pair
+    criterion, which the table-2 filter and realize_config use too
+    (locally_difficult reads the same condition off a full LocalSignature);
+    66 of them are difficult.  Each component's mask is built once per call,
+    at max_weight + 1 beads; the right runner's gap extra beads shift its
+    mask up gap rows and fill the rows below, once per right component and
+    gap.  A bead added to both runners shifts the word up one row, which
+    leaves the criterion unchanged.  The kept rows are built without the
+    constructor's check: their components come from partitions_of and their
+    gaps from range.
 
     Deterministic order: (weight, gap descending, right component, left
     component); max_weight above 7 is outside the verified range and refused.
@@ -163,17 +168,28 @@ def derive_table1(max_weight: int) -> list:
     comps = [tuple(partitions_of(k)) for k in range(max_weight + 1)]
     masks = {comp: _rows_mask(rows_for_component(comp, max_weight + 1))
              for size_comps in comps for comp in size_comps}
-    found = []
-    for w in range(2, max_weight + 1):
-        for left_size in range(w + 1):
-            for left in comps[left_size]:
-                for right in comps[w - left_size]:
-                    for gap in range(1, w):
-                        if _difficulty_rows(masks[left], masks[right] << gap
-                                            | (1 << gap) - 1):
-                            found.append((w, -gap, right, left))
-    return [RunnerPairConfig(left, right, -minus_gap)
-            for _, minus_gap, right, left in sorted(found)]
+    found = sorted(
+        (w, -gap, right, left)
+        for w in range(2, max_weight + 1)
+        for right_size in range(w + 1)
+        for right in comps[right_size]
+        for gap in range(1, w)
+        for rmask in [masks[right] << gap | (1 << gap) - 1]
+        for left in comps[w - right_size]
+        for lmask in [masks[left]]
+        if lmask & ~rmask & (rmask & ~lmask) >> 1
+        and _difficulty_rows(lmask, rmask))
+    return [_built(RunnerPairConfig, left=left, right=right, gap=-minus_gap,
+                   _weight=w)
+            for w, minus_gap, right, left in found]
+
+
+def _built(cls, **fields):
+    """A cls instance holding fields, _weight included, that the package
+    built itself: the public constructor's check is skipped."""
+    config = object.__new__(cls)
+    vars(config).update(fields)
+    return config
 
 
 def _difficulty_rows(left: int, right: int):
@@ -181,14 +197,9 @@ def _difficulty_rows(left: int, right: int):
     each runner's rows, or None.
 
     The pair is difficult when its lowest surviving "-" (row c + 1) sits one
-    row above its highest surviving "+" (row c).  A surviving entry is an
-    entry of the word, so row c holds a bead on the left runner only and row
-    c + 1 one on the right runner only: a "+" row directly below a "-" row.
-    The bit test left & ~right & (right & ~left) >> 1 finds every such c, and
-    a pair with none is refused before its word is reduced.
+    row above its highest surviving "+" (row c), read off the word reduced
+    by signatures.cancel_word.
     """
-    if not left & ~right & (right & ~left) >> 1:
-        return None
     plus, minus = cancel_word(_mask_word(left, right))
     if not (minus and plus and minus[0] == plus[-1] + 1):
         return None
@@ -210,27 +221,33 @@ def derive_table2(pairs=None) -> list:
 
 def table2_candidates(pairs=None) -> list:
     """The overlapping table-1 pair chains before the joint occupancy filter;
-    pairs defaults to derive_table1(7).
+    pairs, any iterable of RunnerPairConfig (read once), defaults to
+    derive_table1(7).
 
     A chain joins a first pair to a second pair whose left runner is the
     first pair's right runner: pairs are indexed once by their left
     component, and each first pair meets only the pairs under its right
-    component.
+    component.  A chain's weight is first.weight plus the second pair's
+    right component, so a chain over weight 7 is never built, and the kept
+    triples are built without the constructor's check: every
+    RunnerPairConfig was checked when it was made.
     """
-    if pairs is None:
-        pairs = derive_table1(7)
+    pairs = derive_table1(7) if pairs is None else tuple(pairs)
     by_left = {}
     for pair in pairs:
+        if not isinstance(pair, RunnerPairConfig):
+            raise TypeError(f"expected a RunnerPairConfig, got {pair!r}")
         by_left.setdefault(pair.left, []).append(pair)
-    out = []
-    for first in pairs:
-        for second in by_left.get(first.right, ()):
-            triple = RunnerTripleConfig(first.left, first.right, second.right,
-                                        first.gap, second.gap)
-            if triple.weight <= 7:
-                out.append(triple)
-    out.sort(key=lambda t: (t.weight, t.gaps, t.right, t.middle, t.left))
-    return out
+    found = sorted(
+        (weight, first.gap, first.gap + second.gap, second.right, first.right,
+         first.left, second.gap)
+        for first in pairs
+        for second in by_left.get(first.right, ())
+        for weight in [first.weight + sum(second.right)]
+        if weight <= 7)
+    return [_built(RunnerTripleConfig, left=left, middle=middle, right=right,
+                   gap1=gap1, gap2=gap2, _weight=weight)
+            for weight, gap1, _, right, middle, left, gap2 in found]
 
 
 def _joint_difficult(triple: RunnerTripleConfig) -> bool:

@@ -20,8 +20,9 @@ candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature;
 table1_by_row_sets, the Table I loop that read each pair's word off
 bead-row sets (a symmetric difference, sorted) instead of bit masks;
-difficulty_rows_by_cancel, the pair criterion that reduces every pair's
-word, with no bit test in front; table2_candidates_by_pair_scan, Table II's
+difficulty_rows_by_cancel, the pair criterion read off every pair's reduced
+word, which derive_table1's bit-test filter must pass whenever it finds a
+difficult pair; table2_candidates_by_pair_scan, Table II's
 candidates from every ordered pair of Table I rows;
 signature_by_residue, the signed word of one residue filtered from all
 nodes and sorted, which the library replaced by one walk along the rim;

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from selfext import partitions, tables
 from selfext.abacus import from_runner_rows, rows_for_component
 from selfext.partitions import is_p_regular, parse_partition, partitions_of
 from selfext.signatures import is_difficult, signature
@@ -24,6 +25,7 @@ from selfext.tables import (
     realize_config,
     table2_candidates,
 )
+from test_certifier import patch_every_binding
 
 
 def load_golden(name):
@@ -168,13 +170,45 @@ def test_local_signature_gap_dominates():
     assert sig.epsilon == 3 and sig.phi == 0
 
 
+def plus_below_minus(left, right):
+    # derive_table1's filter: a "+" row (left runner only) directly below a
+    # "-" row (right runner only)
+    return bool(left & ~right & (right & ~left) >> 1)
+
+
 def test_difficulty_rows_matches_the_reduced_word_on_every_small_pair():
     # the bit test in front of the word refuses no difficult pair
     for left in range(2 ** 8):
         for right in range(2 ** 8):
-            assert (_difficulty_rows(left, right)
-                    == oracles.difficulty_rows_by_cancel(left, right)), \
-                (left, right)
+            want = oracles.difficulty_rows_by_cancel(left, right)
+            assert _difficulty_rows(left, right) == want, (left, right)
+            assert want is None or plus_below_minus(left, right), (left, right)
+
+
+def test_table1_reduces_only_the_pairs_the_bit_test_passes(monkeypatch):
+    reached = []
+
+    def recording(left, right):
+        reached.append((left, right))
+        return _difficulty_rows(left, right)
+
+    monkeypatch.setattr(tables, "_difficulty_rows", recording)
+    derive_table1(7)
+    passed = candidates = 0
+    for w in range(2, 8):
+        for left_size in range(w + 1):
+            for left in partitions_of(left_size):
+                for right in partitions_of(w - left_size):
+                    for gap in range(1, w):
+                        base = w + gap + 2
+                        candidates += 1
+                        passed += plus_below_minus(
+                            sum(1 << t for t in rows_for_component(left, base)),
+                            sum(1 << t for t in rows_for_component(right,
+                                                                   base + gap)))
+    assert (candidates, passed) == (1214, 227)
+    assert len(reached) == passed
+    assert all(plus_below_minus(*pair) for pair in reached)
 
 
 def test_table2_candidates_match_the_pair_scan_in_order():
@@ -284,6 +318,50 @@ def test_realize_config_covers_tables():
     assert unplaced == {(RunnerPairConfig((1, 1, 1), (2, 2), 1), 3),
                         (RunnerPairConfig((1, 1), (2, 2, 1), 1), 3),
                         (RunnerPairConfig((), (2, 2, 2, 1), 1), 3)}
+
+
+def test_table_rows_equal_the_checked_constructors():
+    def same(built, checked):
+        assert type(built) is type(checked)
+        assert vars(built) == vars(checked)
+        assert built == checked and hash(built) == hash(checked)
+        assert built.weight == checked.weight
+
+    for k in range(8):
+        for c in derive_table1(k):
+            same(c, RunnerPairConfig(c.left, c.right, c.gap))
+    for t in table2_candidates():
+        checked = RunnerTripleConfig(t.left, t.middle, t.right, t.gap1, t.gap2)
+        same(t, checked)
+        assert t.gaps == checked.gaps
+
+
+def test_tables_check_only_max_weight(monkeypatch):
+    calls = {"check_partition": [], "check_integer": []}
+    for name, seen in calls.items():
+        def counting(*args, real=getattr(partitions, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+        patch_every_binding(monkeypatch, getattr(partitions, name), counting)
+    derive_table1(7)
+    derive_table2()
+    assert calls == {"check_partition": [],
+                     "check_integer": [(7, "max_weight")] * 2}
+
+
+def test_table2_reads_its_pairs_once():
+    # an iterator once gave an empty Table II: the pairs were read twice
+    pairs = derive_table1(7)
+    assert table2_candidates(iter(pairs)) == table2_candidates(pairs)
+    assert derive_table2(iter(pairs)) == derive_table2() != []
+
+
+def test_table2_refuses_a_plain_tuple():
+    # a tuple once raised AttributeError from inside the chain index
+    for table in (derive_table2, table2_candidates):
+        with pytest.raises(TypeError, match=r"expected a RunnerPairConfig, "
+                                            r"got \(\(\), \(1, 1\), 1\)"):
+            table([((), (1, 1), 1)])
 
 
 def test_realize_config_refuses_a_plain_tuple():
