@@ -10,8 +10,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from importlib import resources
 
-from .partitions import (check_prime, format_partition, is_p_regular,
-                         parse_partition, partitions_of)
+from .partitions import (MAX_SIZE, check_prime, format_partition,
+                         is_p_regular, parse_partition, partitions_of)
 from .abacus import core_and_weight
 from .signatures import signatures
 from .bijections import mullineux, regularize
@@ -104,6 +104,8 @@ def _cmd_survey(args) -> int:
     p = args.p
     if args.n < 0:
         raise ValueError("n must be non-negative")
+    if args.n > MAX_SIZE:
+        raise ValueError(f"n must be at most {MAX_SIZE}")
     tasks = [(la, p) for la in partitions_of(args.n) if is_p_regular(la, p)]
     workers = _workers()
     if workers > 1:

@@ -20,8 +20,9 @@ candidate; table1_by_local_signature, the
 Table I loop that judged every candidate by its full local signature;
 table1_by_row_sets, the Table I loop that read each pair's word off
 bead-row sets (a symmetric difference, sorted) instead of bit masks;
-difficulty_rows_by_cancel, the pair criterion read off every pair's reduced
-word, which derive_table1's bit-test filter must pass whenever it finds a
+difficulty_rows_by_erasure, the pair criterion read off every pair's sign
+string with "-+" erased until none is left (no cancel_word, no bit-mask
+word), which derive_table1's bit-test filter must pass whenever it finds a
 difficult pair; table2_candidates_by_pair_scan, Table II's
 candidates from every ordered pair of Table I rows;
 signature_by_residue, the signed word of one residue filtered from all
@@ -51,7 +52,7 @@ from selfext.signatures import (SignatureReport, cancel_word, e_tilde, f_tilde,
                                 signature, signatures)
 from selfext.specht import SpechtResult
 from selfext.tables import (RunnerPairConfig, RunnerTripleConfig,
-                            _mask_word, locally_difficult)
+                            locally_difficult)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +352,22 @@ def core_counts(p, limit):
 # signature cross-checks
 
 
+def erase_minus_plus(word):
+    """The (label, sign) entries of word left after erasing adjacent "-+"
+    pairs one at a time until none is left (not cancel_word's single pass)."""
+    reduced = list(word)
+    while True:
+        pair = next((k for k in range(len(reduced) - 1)
+                     if (reduced[k][1], reduced[k + 1][1]) == ("-", "+")), None)
+        if pair is None:
+            return reduced
+        del reduced[pair:pair + 2]
+
+
 def signature_by_residue(la, p, i):
     """The residue-i signature report read one residue at a time: keep the
     removable and addable nodes of residue i, sort them by content, and erase
-    adjacent "-+" pairs one at a time until none is left (not cancel_word's
-    single pass)."""
+    adjacent "-+" pairs with erase_minus_plus."""
     entries = sorted([(col - row, (row, col), "-")
                       for row, col in removable_nodes(la)
                       if node_residue((row, col), p) == i]
@@ -363,13 +375,7 @@ def signature_by_residue(la, p, i):
                         for row, col in addable_nodes(la)
                         if node_residue((row, col), p) == i])
     word = tuple((node, sign) for _, node, sign in entries)
-    reduced = list(word)
-    while True:
-        pair = next((k for k in range(len(reduced) - 1)
-                     if (reduced[k][1], reduced[k + 1][1]) == ("-", "+")), None)
-        if pair is None:
-            break
-        del reduced[pair:pair + 2]
+    reduced = erase_minus_plus(word)
     normals = tuple(node for node, sign in reduced if sign == "-")
     conormals = tuple(node for node, sign in reversed(reduced) if sign == "+")
     return SignatureReport(la, p, i, word, normals, conormals)
@@ -794,10 +800,18 @@ def table1_by_row_sets(max_weight):
     return found
 
 
-def difficulty_rows_by_cancel(left, right):
+def difficulty_rows_by_erasure(left, right):
     """(good row, cogood row) of a difficult pair given as the bit mask of
-    each runner's rows, or None, read off the reduced word of every pair."""
-    plus, minus = cancel_word(_mask_word(left, right))
+    each runner's rows, or None.  Each row with a bead on one runner only
+    gives a sign, "+" for the left runner and "-" for the right, rows
+    ascending; after erase_minus_plus the pair is difficult when its lowest
+    "-" sits one row above its highest "+"."""
+    signs = [(row, "+" if left >> row & 1 else "-")
+             for row in range(max(left, right).bit_length())
+             if (left >> row & 1) != (right >> row & 1)]
+    reduced = erase_minus_plus(signs)
+    plus = [row for row, sign in reduced if sign == "+"]
+    minus = [row for row, sign in reduced if sign == "-"]
     if not (minus and plus and minus[0] == plus[-1] + 1):
         return None
     return minus[0], plus[-1]

@@ -256,6 +256,10 @@ def test_unknown_result():
                    (13, 10, 8, 7, 6, 1, 1), (17, 6, 6, 5, 4, 3, 3, 2),
                    (14, 10, 8, 7, 6, 1, 1), (18, 6, 6, 5, 4, 3, 3, 2)]],
                  id="12,10,8,7,6,1,1"),
+    pytest.param([[(12, 10, 9, 8, 5, 1), (20, 6, 5, 4, 4, 3, 2, 1),
+                   (12, 10, 9, 8, 5, 1, 1), (20, 6, 5, 4, 4, 3, 2, 2),
+                   (12, 10, 9, 8, 6, 1, 1), (20, 6, 5, 4, 4, 3, 3, 2)]],
+                 id="12,10,9,8,5,1"),
     pytest.param([[(13, 8, 7, 6, 4, 3, 2, 1, 1), (16, 9, 6, 5, 4, 2, 2, 1)],
                   [(13, 11, 10, 9, 1, 1), (22, 6, 6, 5, 4, 2)]],
                  id="twin-pairs"),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_cases
 import selfext
 from selfext import cli, tables
 from selfext.certifier import certificate_from_dict, validate
@@ -181,34 +182,47 @@ def test_survey_json(capsys):
 
 
 def test_survey_worker_count_does_not_change_output(capsys, monkeypatch):
-    code, serial, _ = capture(capsys, ["survey", "--p", "3", "--n", "9"])
+    # (3,24) has R-MULLINEUX steps and T-SPECHT hits, not only T-WEIGHT roots
+    argv = ["survey", "--p", "3", "--n", "24", "--json"]
+    code, serial, _ = capture(capsys, argv)
     assert code == 0
     monkeypatch.setenv("SELFEXT_WORKERS", "2")
-    code, parallel, _ = capture(capsys, ["survey", "--p", "3", "--n", "9"])
+    code, parallel, _ = capture(capsys, argv)
     assert code == 0
     assert parallel == serial
 
 
-def test_verify_tables_text(capsys):
-    code, out, _ = capture(capsys, ["verify-tables", "--max-weight", "7"])
-    assert code == 0
-    assert out.strip() == "Table I: 66/66 match; Table II: 4/4 match"
+def test_survey_size_out_of_range_exits_2_at_once(capsys):
+    for n, message in (("-1", "n must be non-negative"),
+                       ("100001", "n must be at most 100000")):
+        start = time.perf_counter()
+        code, out, err = capture(capsys, ["survey", "--p", "3", "--n", n])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 5
+
+
+# The surveys above this n, (3,39), (5,40) and (5,45), take seconds each, so
+# only CI runs them, through the console script: python tests/cli_cases.py.
+MAX_IN_PROCESS_SURVEY_N = 35
+
+
+def in_process(case):
+    argv = case["argv"]
+    return (argv[0] != "survey"
+            or int(argv[argv.index("--n") + 1]) <= MAX_IN_PROCESS_SURVEY_N)
+
+
+@pytest.mark.parametrize("case", filter(in_process, cli_cases.load_cases()),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_pinned_cli_case(capsys, case):
+    code, out, _ = capture(capsys, case["argv"])
+    cli_cases.check(case, code, out)
 
 
 def test_verify_tables_partial_weight(capsys):
     code, out, _ = capture(capsys, ["verify-tables", "--max-weight", "4"])
     assert code == 0
     assert out.strip() == "Table I: 7/7 match"
-
-
-def test_verify_tables_json(capsys):
-    code, out, _ = capture(capsys, ["verify-tables", "--json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["table1"]["match"] is True
-    assert payload["table1"]["matched"] == 66
-    assert payload["table2"]["match"] is True
-    assert payload["table2"]["matched"] == 4
 
 
 def test_verify_tables_derives_table1_once(capsys, monkeypatch):
@@ -252,13 +266,6 @@ def test_specht_irreducible_rejects_unsorted_parts(capsys):
     assert code == 2
     assert out == ""
     assert "weakly decreasing" in err
-
-
-def test_enumerate_block_text(capsys):
-    code, out, _ = capture(capsys, ["enumerate-block", "--core", "1",
-                                    "--weight", "1", "--p", "3"])
-    assert code == 0
-    assert out.splitlines() == ["4", "2^2", "1^4"]
 
 
 def test_enumerate_block_regular_only(capsys):

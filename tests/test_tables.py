@@ -180,7 +180,7 @@ def test_difficulty_rows_matches_the_reduced_word_on_every_small_pair():
     # the bit test in front of the word refuses no difficult pair
     for left in range(2 ** 8):
         for right in range(2 ** 8):
-            want = oracles.difficulty_rows_by_cancel(left, right)
+            want = oracles.difficulty_rows_by_erasure(left, right)
             assert _difficulty_rows(left, right) == want, (left, right)
             assert want is None or plus_below_minus(left, right), (left, right)
 
