@@ -5,8 +5,8 @@ Reading a partition with N beads places them at its beta-numbers
 q // p.  Every abacus here is a list of p sorted bead-row tuples, one per
 runner: bead_rows splits beta-numbers into them, from_runner_rows decodes
 them, and rows_for_component / component_from_rows convert between one
-runner's rows and its quotient component.  core_and_weight reads the p-core
-and weight off the same beads.
+runner's rows and its quotient component.  bead_counts reads the h + 1
+beads' runner counts and weight, and core_of_counts decodes the p-core.
 """
 from __future__ import annotations
 
@@ -49,13 +49,21 @@ def core_and_weight(la, p: int) -> tuple:
 
 
 def core_weight(la, p: int) -> tuple:
-    """core_and_weight of a normalised tuple, from its h + 1 beta-numbers,
-    lowest first: the bead at q moves up its runner past the count[q % p]
-    beads already on it."""
+    """core_and_weight of a normalised tuple."""
+    counts, weight = bead_counts(la, p)
+    return core_of_counts(counts), weight
+
+
+def bead_counts(la, p: int) -> tuple:
+    """(runner bead counts of la's h + 1 beads, weight): the bead at q, lowest
+    first, moves up its runner past the count[q % p] beads already on it."""
     count, moves = [0] * p, 0
     for q in (0, *map(operator.add, reversed(la), range(1, len(la) + 1))):
         moves += q // p - count[q % p]
         count[q % p] += 1
-    core = [j + p * t for j in range(p) for t in range(count[j])]  # pushed up
-    return component_from_rows(core), moves
+    return count, moves
 
+
+def core_of_counts(counts) -> tuple:
+    """The p-core whose display has these runner bead counts, p = len(counts)."""
+    return from_runner_rows([range(c) for c in counts], len(counts))

@@ -1,12 +1,12 @@
-"""Block identity, block enumeration, Rouquier cores (one display whose runner
-bead counts are rotated p times), RoCK membership."""
+"""Block identity, block enumeration, Rouquier cores and RoCK membership, all
+read off abacus.bead_counts: a block's members share their core's counts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .partitions import (MAX_SIZE, check_integer, check_p, check_partition,
                          check_regular, is_p_regular, partitions_of)
-from .abacus import bead_rows, core_weight, from_runner_rows, rows_for_component
+from .abacus import bead_counts, from_runner_rows, rows_for_component
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class BlockId:
         core, p = check_partition(self.core), check_p(self.p)
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "p", p)
-        if core_weight(core, p)[1] != 0:
+        if bead_counts(core, p)[1] != 0:
             raise ValueError(f"{core} is not a {p}-core")
         weight = check_integer(self.weight, "weight")
         object.__setattr__(self, "weight", weight)
@@ -56,8 +56,7 @@ def enumerate_block(b: BlockId, regular_only: bool = False) -> list:
         raise ValueError(f"block members exceed {MAX_SIZE} boxes")
     p, d = b.p, b.weight
     # the core's h + 1 beads and d + 1 full rows: position 0 stays occupied
-    base = bead_rows(rows_for_component(b.core, len(b.core) + 1), p)
-    counts = [len(rows) + d + 1 for rows in base]
+    counts = [c + d + 1 for c in bead_counts(b.core, p)[0]]
     out = []
     for multi in _multipartitions(d, p):
         la = from_runner_rows([rows_for_component(multi[j], counts[j])
@@ -71,17 +70,15 @@ def is_rouquier(rho, p: int, d: int) -> bool:
     """True iff some display of the core rho has runner bead counts
     r_0 <= ... <= r_{p-1} growing by at least d-1 at each step."""
     block = BlockId(rho, d, p)  # rho a p-core, d a weight, as for a label
-    return rouquier_counts(block.core, block.p, block.weight)
+    return rouquier_counts(bead_counts(block.core, block.p)[0], block.weight)
 
 
-def rouquier_counts(core, p: int, d: int) -> bool:
-    """is_rouquier's bead-count test on a p-core, a normalised tuple."""
+def rouquier_counts(counts, d: int) -> bool:
+    """is_rouquier on the bead counts of a display of the core or a member."""
     # One more bead moves runner j's beads to j + 1, and p-1's plus the new
     # bead at 0 to runner 0; p such rotations add one to every runner.
-    betas = rows_for_component(core, max(len(core), 1))  # rows on one runner
-    counts = [len(rows) for rows in bead_rows(betas, p)]
-    for _ in range(p):
-        if all(counts[j + 1] - counts[j] >= d - 1 for j in range(p - 1)):
+    for _ in range(len(counts)):
+        if all(b - a >= d - 1 for a, b in zip(counts, counts[1:])):
             return True
         counts = [counts[-1] + 1] + counts[:-1]
     return False
@@ -90,5 +87,4 @@ def rouquier_counts(core, p: int, d: int) -> bool:
 def is_rock_block(la, p: int) -> bool:
     """True iff la lies in a block with a d-Rouquier core, d = wt(la)."""
     la, p = check_regular(la, p)
-    core, d = core_weight(la, p)
-    return rouquier_counts(core, p, d)
+    return rouquier_counts(*bead_counts(la, p))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .partitions import (add_node, check_integer, check_partition, check_prime,
                          is_p_regular, node_residue, remove_node)
-from .abacus import core_weight
+from .abacus import bead_counts, core_weight
 from .signatures import add_conormals, difficult, remove_normals, signatures
 from .bijections import mullineux_image, regularize
 from .blocks import rouquier_counts
@@ -205,10 +205,9 @@ def _least_rouquier_size(p: int, d: int) -> int:
 
 def _rock_terminal(la, p: int, reports):
     """T-ROCK: la lies in a block whose core is d-Rouquier, d = wt(la)."""
-    core, d = core_weight(la, p)
-    if sum(core) < _least_rouquier_size(p, d):  # too small to be d-Rouquier
-        return None
-    return {} if rouquier_counts(core, p, d) else None
+    counts, d = bead_counts(la, p)  # the core has sum(la) - p*d boxes
+    fits = sum(la) - p * d >= _least_rouquier_size(p, d)
+    return {} if fits and rouquier_counts(counts, d) else None
 
 
 def _specht_terminal(la, p: int, reports):

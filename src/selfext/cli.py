@@ -275,7 +275,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (e.g. `| head`): send the rest of stdout to
+        # devnull so the flush at shutdown cannot fail, and exit as SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, the status of a process SIGPIPE killed
+    sys.exit(code)
 
 
 if __name__ == "__main__":

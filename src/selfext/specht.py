@@ -9,8 +9,9 @@ from itertools import permutations
 
 from .partitions import (check_p, check_partition, check_regular,
                          is_p_regular, p_restricted, partitions_of)
-from .abacus import (bead_rows, component_from_rows, core_weight,
-                     from_runner_rows, rows_for_component)
+from .abacus import (bead_counts, bead_rows, component_from_rows,
+                     core_of_counts, core_weight, from_runner_rows,
+                     rows_for_component)
 from .bijections import regularization
 from .signatures import remove_normals, signatures
 
@@ -101,8 +102,8 @@ def _block_index(core, w, p):
     """nu^R -> nu for every nu in the block (core, w) with S^nu irreducible.
 
     The criterion of _irreducible, read backwards on the core's display with
-    len(core) + p*w beads (enough for every member, each runner holding at
-    least w beads): an irreducible p-regular label alpha on runner j and an
+    len(core) + 1 + p*w beads, bead_counts plus w on each runner (enough for
+    every member): an irreducible p-regular label alpha on runner j and an
     irreducible p-restricted one beta on runner k != j, sizes adding up to
     w.  (A label alone on j = k that passes also passes with beta = () on
     the other runner of lowest top.)  The core's runners are full prefixes,
@@ -116,8 +117,7 @@ def _block_index(core, w, p):
     if w == 0:
         return {core: core}
     regular, restricted = zip(*(_labels(v, p) for v in range(w + 1)))
-    beads = len(core) + p * w
-    counts = [len(r) for r in bead_rows(rows_for_component(core, beads), p)]
+    counts = [c + w for c in bead_counts(core, p)[0]]
     tops, gaps = _runner_bounds(counts, [()] * p, p)
     displays = set()
     for j, k in permutations(range(p), 2):
@@ -158,10 +158,7 @@ def irreducible_specht_preimage(mu, p: int):
     return _block_index(*core_weight(mu, p), p).get(mu)
 
 
-@lru_cache(maxsize=4096)
-def _core_of_counts(counts):
-    """The p-core whose display has these runner bead counts (least 0)."""
-    return from_runner_rows([range(c) for c in counts], len(counts))
+_core_of_counts = lru_cache(maxsize=4096)(core_of_counts)
 
 
 def first_specht_witness(reports, p: int):
@@ -170,7 +167,7 @@ def first_specht_witness(reports, p: int):
     With N = len(la) + 1 beads, removing a residue-i node moves a bead from
     runner (i + N) mod p to the one before, so la's counts give each block."""
     la = reports[0].partition
-    counts = [len(r) for r in bead_rows(rows_for_component(la, len(la) + 1), p)]
+    counts = bead_counts(la, p)[0]
     for sig in reports:
         eps, j = sig.epsilon, (sig.residue + len(la) + 1) % p
         moved = counts.copy()

@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 import oracles
 from selfext.abacus import (
+    bead_counts,
     bead_rows,
     component_from_rows,
     core_and_weight,
+    core_of_counts,
     from_runner_rows,
     rows_for_component,
 )
@@ -48,6 +50,20 @@ def test_core_and_weight_matches_rim_hook_oracle():
                 expected = oracles.rim_core_and_weight(la, p)
                 assert core_and_weight(la, p) == expected
                 assert core_and_weight(list(la) + [0, 0], p) == expected
+
+
+def test_bead_counts_match_the_rows_and_the_rim_hook_oracle():
+    # the kernel's counts are the runner row counts of the h + 1 bead
+    # display, its weight the rim-hook weight, and the counts give the core
+    for n in range(15):
+        for la in partitions_of(n):
+            for p in (2, 3, 5, 7):
+                counts, weight = bead_counts(la, p)
+                rows = bead_rows(rows_for_component(la, len(la) + 1), p)
+                assert counts == [len(r) for r in rows], (la, p)
+                core, expected = oracles.rim_core_and_weight(la, p)
+                assert weight == expected, (la, p)
+                assert core_of_counts(counts) == core, (la, p)
 
 
 @pytest.mark.parametrize("p", [1, 0, -3])

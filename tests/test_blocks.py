@@ -2,12 +2,13 @@
 
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 import oracles
-from selfext import blocks, partitions
-from selfext.abacus import core_and_weight, core_weight
+from selfext import abacus, blocks, partitions
+from selfext.abacus import bead_counts, core_and_weight
 from selfext.blocks import BlockId, enumerate_block, is_rock_block, is_rouquier
 from selfext.partitions import is_p_regular, partitions_of
 
@@ -161,7 +162,24 @@ def test_is_rock_block_rejects_singular():
         is_rock_block((1, 1, 1), 3)
 
 
-def test_is_rock_block_computes_the_core_once(monkeypatch):
+def test_is_rock_block_on_members_matches_full_bead_scan():
+    # a member's bead counts stand for its core's: every 3-regular
+    # partition of n <= 20 and 5-regular one of n <= 15 against the oracle
+    # scan of its rim-hook core
+    verdicts = Counter()
+    for p, nmax in ((3, 20), (5, 15)):
+        for n in range(nmax + 1):
+            for la in partitions_of(n):
+                if is_p_regular(la, p):
+                    core, w = oracles.rim_core_and_weight(la, p)
+                    rock = is_rock_block(la, p)
+                    assert rock == oracles.rouquier_by_full_scan(core, p, w), la
+                    verdicts[p, rock] += 1
+    assert verdicts == {(3, True): 63, (3, False): 950,
+                        (5, True): 100, (5, False): 426}
+
+
+def test_is_rock_block_reads_bead_counts_once(monkeypatch):
     cases = ((9, 1, 1), (4, 2, 1), (10, 5, 4, 3, 1, 1))
     expected = [is_rock_block(la, 3) for la in cases]
     assert expected == [True, False, False]
@@ -169,10 +187,14 @@ def test_is_rock_block_computes_the_core_once(monkeypatch):
 
     def counted(la, p):
         calls.append(la)
-        return core_weight(la, p)
+        return bead_counts(la, p)
 
-    # blocks imports only the kernel, so every core computation counts
-    monkeypatch.setattr(blocks, "core_weight", counted)
+    def refused(la, p):
+        raise AssertionError("is_rock_block builds no core")
+
+    # blocks imports only the kernel, so every bead-count read counts
+    monkeypatch.setattr(blocks, "bead_counts", counted)
+    monkeypatch.setattr(abacus, "core_weight", refused)
     assert [is_rock_block(la, 3) for la in cases] == expected
     assert calls == list(cases)
 

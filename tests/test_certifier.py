@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfext import certifier, partitions, signatures as signatures_module
-from selfext.abacus import core_and_weight, from_runner_rows, rows_for_component
+from selfext.abacus import (bead_counts, core_and_weight, from_runner_rows,
+                            rows_for_component)
 from selfext.blocks import rouquier_counts
 from selfext.certifier import (
     ALL_RULES,
@@ -105,18 +106,46 @@ def test_rock_bound_is_the_least_rouquier_core(p, limit, dmax):
         bound = certifier._least_rouquier_size(p, d)
         least = from_runner_rows([range(k * (d - 1)) for k in range(p)], p)
         assert sum(least) == bound, (p, d)
-        assert rouquier_counts(least, p, d), (p, d)
+        assert rouquier_counts(bead_counts(least, p)[0], d), (p, d)
         assert oracles.rouquier_by_full_scan(least, p, d), (p, d)
         assert (least in cores) == (bound <= limit), (p, d)
         # the oracle tries every display: cheap enough at p = 3 only
         for core in cores if p == 3 else ():
-            assert (rouquier_counts(core, p, d)
+            assert (rouquier_counts(bead_counts(core, p)[0], d)
                     == oracles.rouquier_by_full_scan(core, p, d)), (core, d)
         for core in cores:
             if sum(core) < bound:
-                assert not rouquier_counts(core, p, d), (core, p, d)
+                assert not rouquier_counts(bead_counts(core, p)[0], d), (
+                    core, p, d)
     assert [certifier._least_rouquier_size(p, 8) for p in (3, 5)] == [161, 1295]
     assert certifier._least_rouquier_size.cache_info().maxsize == 1024
+
+
+def test_t_rock_builds_no_second_core(monkeypatch):
+    # T-ROCK reads bead counts, so every core_weight call of a search is
+    # T-WEIGHT's: one per node that reaches T-WEIGHT, none from T-ROCK
+    events, real = [], certifier.core_weight
+
+    def counted(la, p):
+        events.append("core_weight")
+        return real(la, p)
+
+    def logged(tag, find):
+        def find_logged(la, p, reports):
+            events.append(tag)
+            return find(la, p, reports)
+        return find_logged
+
+    monkeypatch.setattr(certifier, "core_weight", counted)
+    for tag in ("T-WEIGHT", "T-ROCK"):
+        monkeypatch.setitem(certifier.TERMINALS, tag,
+                            logged(tag, certifier.TERMINALS[tag]))
+    c = certify((12, 8, 3, 2, 1, 1), 3)
+    assert (c.terminal.tag, len(c.steps)) == ("T-SPECHT", 2)
+    # seven nodes reach T-ROCK (T-SPECHT hits on the seventh)
+    assert Counter(events) == {"T-WEIGHT": 7, "core_weight": 7, "T-ROCK": 7}
+    assert all(before == "T-WEIGHT" for before, call in zip(events, events[1:])
+               if call == "core_weight")
 
 
 def trick1(la, p):

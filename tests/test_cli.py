@@ -241,13 +241,18 @@ def test_verify_tables_derives_table1_once(capsys, monkeypatch):
     assert calls == [7]
 
 
-def run_module(module, *args, cwd):
+def module_env():
     src = str(Path(selfext.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_module(module, *args, cwd):
     return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=module_env(), capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -259,6 +264,19 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = run_module("selfext", "verify-tables", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "Table I: 66/66 match; Table II: 4/4 match"
+
+
+def test_a_reader_that_leaves_early_gets_exit_141_and_no_traceback(tmp_path):
+    # 105 KB of members, more than a pipe buffer: the CLI is still writing
+    # when the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selfext", "enumerate-block", "--core", "-",
+         "--weight", "12", "--p", "3"], cwd=tmp_path, env=module_env(),
+        bufsize=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"36\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=120), stderr) == (141, b"")
 
 
 def test_specht_irreducible_rejects_unsorted_parts(capsys):
