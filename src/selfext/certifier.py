@@ -6,13 +6,14 @@ trusted terminal criterion applies.  Terminal tags name the criterion
 (semisimple degree, small block weight, small height, RoCK block,
 irreducible-Specht restriction); reduction tags name the move.  Both kinds
 live once, in the REDUCTIONS and TERMINALS tables; validate re-derives every
-step and the terminal from scratch through the same tables.
+step and the terminal from scratch through the same tables, and survey
+streams each root's certificate with its verdict.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .partitions import (add_node, check_integer, check_partition, check_prime,
                          is_p_regular, node_residue, remove_node)
@@ -333,12 +334,14 @@ def validate(cert: Certificate) -> bool:
     the search records the first such residue, since one suffices."""
     try:
         p = check_prime(cert.p, 3)
-        if cert.status != "CERTIFIED" or cert.terminal is None:
+        if cert.status != "CERTIFIED" or not isinstance(cert.terminal, Rule):
             return False
         chain = [check_partition(cert.start)]
         for step in cert.steps:
             la = chain[-1]
-            if check_partition(step.source) != la or not is_p_regular(la, p):
+            if (not isinstance(step, Step) or not isinstance(step.rule, Rule)
+                    or check_partition(step.source) != la
+                    or not is_p_regular(la, p)):
                 return False
             edges = REDUCTIONS[step.rule.tag](la, p, signatures)
             if (step.rule.params, step.target) not in edges:
@@ -350,6 +353,24 @@ def validate(cert: Certificate) -> bool:
         tag, params = cert.terminal.tag, cert.terminal.params
         if tag == "T-SPECHT":
             return _specht_witness_holds(params, la, p)
-        return TERMINALS[tag](la, p, signatures) == params
+        found = TERMINALS[tag](la, p, signatures)  # None when it fails
+        return found is not None and found == params
     except (ValueError, KeyError, IndexError, TypeError):
         return False
+
+
+def _replayed(la, p: int) -> tuple:
+    cert = certify(la, p)
+    return cert, validate(cert)
+
+
+def survey(roots, p: int, workers: int):
+    """Yield (certify(la, p), validate's verdict on it) for each root, in
+    root order, from a pool of workers processes when workers > 1."""
+    replay = partial(_replayed, p=p)  # picklable, unlike a closure
+    if workers == 1:
+        yield from map(replay, roots)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # ~15 ms: pools only
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(replay, roots, chunksize=16)

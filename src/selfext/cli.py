@@ -6,7 +6,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from importlib import resources
 
@@ -17,7 +16,7 @@ from .signatures import signatures
 from .bijections import mullineux, regularize
 from .blocks import BlockId, enumerate_block
 from .specht import specht_irreducible
-from .certifier import certify, validate
+from .certifier import certify, survey
 from .tables import derive_table1, derive_table2
 
 
@@ -91,37 +90,28 @@ def _cmd_certify(args) -> int:
     return 0 if cert.status == "CERTIFIED" else 1
 
 
-def _survey_one(task):
-    la, p = task
-    cert = certify(la, p)
-    tags = [s.rule.tag for s in cert.steps]
-    if cert.terminal is not None:
-        tags.append(cert.terminal.tag)
-    return la, cert.status, tags, validate(cert)
-
-
 def _cmd_survey(args) -> int:
-    p = args.p
+    p = check_prime(args.p, 3)  # p = 2 is refused before the roots are listed
     if args.n < 0:
         raise ValueError("n must be non-negative")
     if args.n > MAX_SIZE:
         raise ValueError(f"n must be at most {MAX_SIZE}")
-    tasks = [(la, p) for la in partitions_of(args.n) if is_p_regular(la, p)]
-    workers = _workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_survey_one, tasks, chunksize=16))
-    else:
-        results = [_survey_one(task) for task in tasks]
-    usage = Counter(tag for _, _, tags, _ in results for tag in tags)
-    unknown = sorted(la for la, status, _, _ in results if status != "CERTIFIED")
-    invalid = sorted(la for la, status, _, ok in results
-                     if status == "CERTIFIED" and not ok)
-    certified = len(results) - len(unknown)
-    payload = {"p": p, "n": args.n, "total": len(results),
+    roots = [la for la in partitions_of(args.n) if is_p_regular(la, p)]
+    usage, unknown, invalid = Counter(), [], []
+    for cert, ok in survey(roots, p, _workers()):
+        usage.update(step.rule.tag for step in cert.steps)
+        if cert.status != "CERTIFIED":
+            unknown.append(cert.start)
+            continue
+        usage[cert.terminal.tag] += 1
+        if not ok:
+            invalid.append(cert.start)
+    unknown, invalid = sorted(unknown), sorted(invalid)
+    certified = len(roots) - len(unknown)
+    payload = {"p": p, "n": args.n, "total": len(roots),
                "certified": certified, "unknown": unknown, "invalid": invalid,
                "rule_usage": dict(sorted(usage.items()))}
-    lines = [f"certified {certified}/{len(results)} {p}-regular partitions "
+    lines = [f"certified {certified}/{len(roots)} {p}-regular partitions "
              f"of {args.n}",
              "rule usage: " + ", ".join(
                  f"{tag}={count}" for tag, count in sorted(usage.items()))]

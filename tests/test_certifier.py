@@ -23,6 +23,7 @@ from selfext.certifier import (
     Step,
     certificate_from_dict,
     certify,
+    survey,
     validate,
 )
 from selfext.partitions import MAX_SIZE, is_p_regular, partitions_of
@@ -312,6 +313,39 @@ def test_hand_built_certificates():
     assert validate(Certificate(3, (2, 1), (), Rule("T-WEIGHT"), "CERTIFIED"))
     # |la| = 3 is not below p = 3, so T-SMALL does not apply
     assert not validate(Certificate(3, (2, 1), (), Rule("T-SMALL"), "CERTIFIED"))
+
+
+# An UNKNOWN root of (3,39), of weight 13: every terminal fails on it.
+@pytest.mark.parametrize("tag", ["T-SMALL", "T-WEIGHT", "T-HEIGHT", "T-ROCK"])
+def test_a_terminal_that_fails_is_refused_whatever_its_params(tag):
+    la = (11, 7, 7, 5, 4, 3, 1, 1)
+    assert certify(la, 3).status == "UNKNOWN"
+    for params in (None, {}):
+        assert not validate(Certificate(3, la, (), Rule(tag, params),
+                                        "CERTIFIED"))
+
+
+def test_steps_and_terminals_of_the_wrong_type_are_refused():
+    good = certify((4, 1), 3,
+                   enabled_rules={"T-SMALL", "R-TRICK1", "R-REFLECT"})
+    assert good.steps and validate(good)
+    step = good.steps[0]
+    for steps, terminal in (
+            (("R-TRICK1",), good.terminal),
+            ((Step("R-TRICK1", step.source, step.target),), good.terminal),
+            (good.steps, "T-SMALL"),
+            (good.steps, ("T-SMALL", {}))):
+        assert not validate(Certificate(3, good.start, steps, terminal,
+                                        "CERTIFIED"))
+
+
+def test_survey_streams_each_roots_certificate_and_verdict_in_order():
+    roots = [la for la in partitions_of(24) if is_p_regular(la, 3)]
+    expected = [(cert, validate(cert))
+                for cert in (certify(la, 3) for la in roots)]
+    assert {c.status for c, _ in expected} == {"CERTIFIED"}
+    assert list(survey(roots, 3, 1)) == expected
+    assert list(survey(roots, 3, 2)) == expected
 
 
 def test_rule_subset_searches():

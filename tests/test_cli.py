@@ -201,6 +201,14 @@ def test_survey_size_out_of_range_exits_2_at_once(capsys):
         assert time.perf_counter() - start < 5
 
 
+def test_survey_at_p_2_exits_2_before_listing_the_roots(capsys):
+    # p(80) is about 1.6e7 partitions: listing them would take minutes
+    start = time.perf_counter()
+    code, out, err = capture(capsys, ["survey", "--p", "2", "--n", "80"])
+    assert (code, out, err) == (2, "", "error: p must be at least 3, got 2\n")
+    assert time.perf_counter() - start < 5
+
+
 # The surveys above this n, (3,39), (5,40) and (5,45), take seconds each, so
 # only CI runs them, through the console script: python tests/cli_cases.py.
 MAX_IN_PROCESS_SURVEY_N = 35

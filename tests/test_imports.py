@@ -1,11 +1,15 @@
 """Guards on the library's names: every name a module (or test module)
 imports is read in it, every top-level definition is used or exported, only
 exported functions validate partitions, only the p checks compare p with a
-literal, and every function the benchmark tracer wraps exists."""
+literal, every function the benchmark tracer wraps exists, and `import
+selfext` loads no process pool."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import selfext
@@ -228,3 +232,14 @@ def test_every_tracer_target_resolves():
         module_name, func_name = name.rsplit(".", 1)
         module = importlib.import_module(f"selfext.{module_name}")
         assert callable(getattr(module, func_name, None)), name
+
+
+def test_import_selfext_loads_no_process_pool():
+    # Only a survey with workers > 1 pays for the pool module's import.
+    src = str(PACKAGE.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, selfext, selfext.certifier; "
+         "print(sorted(m for m in sys.modules if 'concurrent' in m))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
