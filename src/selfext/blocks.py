@@ -76,7 +76,12 @@ def is_rouquier(rho, p: int, d: int) -> bool:
 def rouquier_counts(counts, d: int) -> bool:
     """is_rouquier on the bead counts of a display of the core or a member."""
     # One more bead moves runner j's beads to j + 1, and p-1's plus the new
-    # bead at 0 to runner 0; p such rotations add one to every runner.
+    # bead at 0 to runner 0; p such rotations add one to every runner, so a
+    # rotated count is some c or c + 1.  A rotation rising by d-1 at each
+    # step is the counts themselves or runs from a wrapped c + 1 to an
+    # unwrapped c, so the counts spread by at least (p-1)(d-1).
+    if max(counts) - min(counts) < (len(counts) - 1) * (d - 1):
+        return False
     for _ in range(len(counts)):
         if all(b - a >= d - 1 for a, b in zip(counts, counts[1:])):
             return True

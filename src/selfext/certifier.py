@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 from .partitions import (add_node, check_integer, check_partition, check_prime,
                          is_p_regular, node_residue, remove_node)
@@ -194,23 +194,6 @@ def _trick2_edges(la, p: int, reports) -> list:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _least_rouquier_size(p: int, d: int) -> int:
-    """Boxes of the least d-Rouquier p-core, whose runner k holds k(d-1)
-    beads (Chuang-Kessar, Bull. LMS 34 (2002)): a core's size counts the
-    (bead, empty slot below it) pairs, and each of the p - m runner pairs m
-    apart adds T(m(d-1)) of them, T(x) = x(x+1)/2."""
-    g = max(d - 1, 0)
-    return sum((p - m) * m * g * (m * g + 1) // 2 for m in range(1, p))
-
-
-def _rock_terminal(la, p: int, reports):
-    """T-ROCK: la lies in a block whose core is d-Rouquier, d = wt(la)."""
-    counts, d = bead_counts(la, p)  # the core has sum(la) - p*d boxes
-    fits = sum(la) - p * d >= _least_rouquier_size(p, d)
-    return {} if fits and rouquier_counts(counts, d) else None
-
-
 def _specht_terminal(la, p: int, reports):
     """T-SPECHT: some e~_i^{eps} la has an irreducible-Specht preimage."""
     hit = first_specht_witness(reports(la, p), p)
@@ -242,7 +225,8 @@ TERMINALS = {
         {} if core_weight(la, p)[1] <= WEIGHT_BOUND else None,
     "T-HEIGHT": lambda la, p, reports:
         {} if len(la) <= p + HEIGHT_MARGIN else None,
-    "T-ROCK": _rock_terminal,
+    "T-ROCK": lambda la, p, reports:
+        {} if rouquier_counts(*bead_counts(la, p)) else None,
     "T-SPECHT": _specht_terminal,
 }
 

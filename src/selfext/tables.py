@@ -84,15 +84,13 @@ class RunnerTripleConfig(_RunnerConfig):
 
 @dataclass(frozen=True)
 class LocalSignature:
-    """Reduced signed word of a runner pair, with the rows that emitted it."""
+    """Signed word of a runner pair; counts and rows of its reduced word."""
 
     word: str
-    rows: tuple
     epsilon: int
     phi: int
     good_row: int | None
     cogood_row: int | None
-    left_beads: int
 
 
 def _rows_mask(rows) -> int:
@@ -118,12 +116,10 @@ def local_signature(pair: RunnerPairConfig) -> LocalSignature:
     plus, minus = cancel_word(entries)
     return LocalSignature(
         word="".join(sign for _, sign in entries),
-        rows=tuple(row for row, _ in entries),
         epsilon=len(minus),
         phi=len(plus),
         good_row=minus[0] if minus else None,
         cogood_row=plus[-1] if plus else None,
-        left_beads=len(left),
     )
 
 

@@ -164,10 +164,11 @@ def test_is_rock_block_rejects_singular():
 
 def test_is_rock_block_on_members_matches_full_bead_scan():
     # a member's bead counts stand for its core's: every 3-regular
-    # partition of n <= 20 and 5-regular one of n <= 15 against the oracle
-    # scan of its rim-hook core
+    # partition of n <= 20, 5-regular one of n <= 15, 2-regular one of
+    # n <= 16 and 4-regular one of n <= 14 against the oracle scan of its
+    # rim-hook core (check_p admits p = 2 and a composite p)
     verdicts = Counter()
-    for p, nmax in ((3, 20), (5, 15)):
+    for p, nmax in ((3, 20), (5, 15), (2, 16), (4, 14)):
         for n in range(nmax + 1):
             for la in partitions_of(n):
                 if is_p_regular(la, p):
@@ -176,7 +177,9 @@ def test_is_rock_block_on_members_matches_full_bead_scan():
                     assert rock == oracles.rouquier_by_full_scan(core, p, w), la
                     verdicts[p, rock] += 1
     assert verdicts == {(3, True): 63, (3, False): 950,
-                        (5, True): 100, (5, False): 426}
+                        (5, True): 100, (5, False): 426,
+                        (2, True): 33, (2, False): 136,
+                        (4, True): 64, (4, False): 275}
 
 
 def test_is_rock_block_reads_bead_counts_once(monkeypatch):

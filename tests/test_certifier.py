@@ -95,31 +95,36 @@ def test_certify_rock_terminal_on_the_least_rouquier_core():
     assert validate(certificate_from_dict(c.to_dict()))
 
 
-@pytest.mark.parametrize("p, limit, dmax", [(3, 200, 9), (5, 300, 4)])
-def test_rock_bound_is_the_least_rouquier_core(p, limit, dmax):
-    # T-ROCK refuses a core smaller than the least d-Rouquier core, whose
-    # runners hold 0, d-1, 2(d-1), ... beads, before its bead-count test:
-    # checked on every p-core of at most `limit` boxes
+@pytest.mark.parametrize("p, limit, dmax, scanned", [
+    (2, 300, 10, 300), (3, 200, 9, 200), (4, 30, 9, 30), (5, 300, 4, 20),
+    (7, 14, 9, 14)])
+def test_rouquier_counts_spread_check_keeps_the_least_rouquier_core(
+        p, limit, dmax, scanned):
+    # rouquier_counts refuses counts spread by less than (p-1)(d-1) before
+    # rotating them; the least d-Rouquier core, whose runner k holds k(d-1)
+    # beads, sits on that bound.  Checked on every p-core of at most `limit`
+    # boxes, and against the oracle, which tries every display, on those of
+    # at most `scanned` boxes
     cores = oracles.cores_by_bead_counts(p, limit)
     sizes = Counter(map(sum, cores))
     assert [sizes[n] for n in range(limit + 1)] == oracles.core_counts(p, limit)
+    displays = [(core, sum(core), bead_counts(core, p)[0]) for core in cores]
     for d in range(dmax + 1):
-        bound = certifier._least_rouquier_size(p, d)
-        least = from_runner_rows([range(k * (d - 1)) for k in range(p)], p)
-        assert sum(least) == bound, (p, d)
+        runners = [k * max(d - 1, 0) for k in range(p)]
+        least = from_runner_rows([range(c) for c in runners], p)
+        assert rouquier_counts(runners, d), (p, d)
         assert rouquier_counts(bead_counts(least, p)[0], d), (p, d)
         assert oracles.rouquier_by_full_scan(least, p, d), (p, d)
-        assert (least in cores) == (bound <= limit), (p, d)
-        # the oracle tries every display: cheap enough at p = 3 only
-        for core in cores if p == 3 else ():
-            assert (rouquier_counts(bead_counts(core, p)[0], d)
-                    == oracles.rouquier_by_full_scan(core, p, d)), (core, d)
-        for core in cores:
-            if sum(core) < bound:
-                assert not rouquier_counts(bead_counts(core, p)[0], d), (
-                    core, p, d)
-    assert [certifier._least_rouquier_size(p, 8) for p in (3, 5)] == [161, 1295]
-    assert certifier._least_rouquier_size.cache_info().maxsize == 1024
+        assert (least in cores) == (sum(least) <= limit), (p, d)
+        for core, size, counts in displays:
+            if size < sum(least):
+                assert not rouquier_counts(counts, d), (core, d)
+            if size <= scanned:
+                assert (rouquier_counts(counts, d)
+                        == oracles.rouquier_by_full_scan(core, p, d)), (core, d)
+    least8 = [sum(from_runner_rows([range(7 * k) for k in range(p)], p))
+              for p in (3, 5)]
+    assert least8 == [161, 1295]
 
 
 def test_t_rock_builds_no_second_core(monkeypatch):
