@@ -11,7 +11,8 @@ from .abacus import bead_counts, from_runner_rows, rows_for_component
 
 @dataclass(frozen=True)
 class BlockId:
-    """A block label: p-core, weight, and the prime."""
+    """A block label: p-core, weight, and the prime.  The is-a-core check
+    keeps the core's runner bead counts, which is_rouquier reads."""
 
     core: tuple
     weight: int
@@ -21,8 +22,10 @@ class BlockId:
         core, p = check_partition(self.core), check_p(self.p)
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "p", p)
-        if bead_counts(core, p)[1] != 0:
+        counts, weight_of_core = bead_counts(core, p)
+        if weight_of_core != 0:
             raise ValueError(f"{core} is not a {p}-core")
+        object.__setattr__(self, "_counts", counts)  # not a field
         weight = check_integer(self.weight, "weight")
         object.__setattr__(self, "weight", weight)
         if weight < 0:
@@ -70,7 +73,7 @@ def is_rouquier(rho, p: int, d: int) -> bool:
     """True iff some display of the core rho has runner bead counts
     r_0 <= ... <= r_{p-1} growing by at least d-1 at each step."""
     block = BlockId(rho, d, p)  # rho a p-core, d a weight, as for a label
-    return rouquier_counts(bead_counts(block.core, block.p)[0], block.weight)
+    return rouquier_counts(block._counts, block.weight)
 
 
 def rouquier_counts(counts, d: int) -> bool:

@@ -5,12 +5,16 @@ removable node of the pair's residue; a bead on the left runner with a gap to
 its right is an addable one.  Every node of that residue lives on the pair, so
 the local signed word (rows scanned bottom to top) reduces exactly like the
 global one, independently of the remaining runners.  Each runner enters as
-the bit mask of a runner's rows (bit r set when row r holds a bead), built
-from abacus.rows_for_component; a pair's word is read off left ^ right and
-reduced by signatures.cancel_word.  The public RunnerPairConfig and
-RunnerTripleConfig constructors check every field; the rows derive_table1
-and table2_candidates build from components and gaps they made themselves
-(or from pairs already checked) are not checked again.
+the bit mask of a runner's rows (bit r set when row r holds a bead); a
+pair's word is read off left ^ right and reduced by signatures.cancel_word.
+The tables read their runners from one module-level table, _MASKS: the row
+mask of each of the 45 components of weight <= 7 on 8 beads, which a gap of
+g shifts up g rows with the rows below filled (_mask).  derive_table1 reduces
+only the pairs that pass a popcount window test (_may_be_difficult): 69 of
+its 1214 candidates at max_weight 7, of which 66 are difficult.  The public
+RunnerPairConfig and RunnerTripleConfig constructors check every field; the
+rows derive_table1 and table2_candidates build from components and gaps
+they made themselves (or from pairs already checked) are not checked again.
 """
 from __future__ import annotations
 
@@ -98,6 +102,21 @@ def _rows_mask(rows) -> int:
     return sum(1 << r for r in rows)
 
 
+# Row masks of every component of weight <= 7 (the longest has 7 parts) on 8
+# beads, indexed by weight, each weight's components in partitions_of order.
+_MASKS = [{comp: _rows_mask(rows_for_component(comp, 8))
+           for comp in partitions_of(k)} for k in range(8)]
+
+
+def _mask(comp, gap: int = 0) -> int:
+    """Row mask of a runner carrying comp (weight <= 7) on 8 + gap beads: the
+    gap extra beads shift the 8-bead mask up gap rows and fill the rows
+    below.  A bead added to every runner of a pair or triple shifts its word
+    up one row, which no criterion here notices, so one bead count serves
+    every table row."""
+    return _MASKS[sum(comp)][comp] << gap | (1 << gap) - 1
+
+
 def _mask_word(left: int, right: int):
     """(row, sign) entries of the signed word of two runners' row masks, the
     (label, sign) order cancel_word reads, rows ascending: a row with a bead
@@ -139,21 +158,18 @@ def locally_difficult(pair: RunnerPairConfig) -> bool:
 def derive_table1(max_weight: int) -> list:
     """All locally difficult runner pairs of combined weight <= max_weight.
 
-    Each candidate (left, right, gap) is judged on the bit mask of each
-    runner's rows.  A difficult pair needs a "+" row (bead on the left runner
-    only) directly below a "-" row (bead on the right runner only), so one
-    bit test, left & ~right & (right & ~left) >> 1, written inline in the
-    candidate filter, refuses most candidates (227 of the 1214 at
-    max_weight 7 pass it).  Only those reach _difficulty_rows, the one pair
-    criterion, which the table-2 filter and realize_config use too
-    (locally_difficult reads the same condition off a full LocalSignature);
-    66 of them are difficult.  Each component's mask is built once per call,
-    at max_weight + 1 beads; the right runner's gap extra beads shift its
-    mask up gap rows and fill the rows below, once per right component and
-    gap.  A bead added to both runners shifts the word up one row, which
-    leaves the criterion unchanged.  The kept rows are built without the
-    constructor's check: their components come from partitions_of and their
-    gaps from range.
+    Each candidate (left, right, gap) is judged on its runners' row masks,
+    read from the module's table: the left component's 8-bead mask and the
+    right one's shifted up gap rows as _mask does, once per right component
+    and gap.  A popcount window test, _may_be_difficult, refuses only pairs
+    whose word cannot leave a surviving "+" directly below a surviving "-";
+    at max_weight 7, 227 of the 1214 candidates have such an adjacent "+"
+    and "-" and 69 pass the test.  Only those reach _difficulty_rows, the
+    one pair criterion, which reduces the word (the table-2 filter and
+    realize_config call it too; locally_difficult reads the same condition
+    off a full LocalSignature); 66 of them are difficult.  The kept rows
+    are built without the constructor's check: their components come from
+    partitions_of and their gaps from range.
 
     Deterministic order: (weight, gap descending, right component, left
     component); max_weight above 7 is outside the verified range and refused.
@@ -161,23 +177,50 @@ def derive_table1(max_weight: int) -> list:
     max_weight = check_integer(max_weight, "max_weight")
     if not 0 <= max_weight <= 7:
         raise ValueError(f"max_weight must be in 0..7, got {max_weight}")
-    comps = [tuple(partitions_of(k)) for k in range(max_weight + 1)]
-    masks = {comp: _rows_mask(rows_for_component(comp, max_weight + 1))
-             for size_comps in comps for comp in size_comps}
     found = sorted(
         (w, -gap, right, left)
         for w in range(2, max_weight + 1)
         for right_size in range(w + 1)
-        for right in comps[right_size]
+        for right, mask in _MASKS[right_size].items()
         for gap in range(1, w)
-        for rmask in [masks[right] << gap | (1 << gap) - 1]
-        for left in comps[w - right_size]
-        for lmask in [masks[left]]
-        if lmask & ~rmask & (rmask & ~lmask) >> 1
+        for rmask in [mask << gap | (1 << gap) - 1]
+        for left, lmask in _MASKS[w - right_size].items()
+        if _may_be_difficult(lmask, rmask)
         and _difficulty_rows(lmask, rmask))
     return [_built(RunnerPairConfig, left=left, right=right, gap=-minus_gap,
                    _weight=w)
             for w, minus_gap, right, left in found]
+
+
+def _may_be_difficult(left: int, right: int) -> bool:
+    """Whether some row c of the pair, given as the bit mask of each
+    runner's rows, holds a "+" (left runner only) below a "-" at row c + 1
+    (right runner only) that can both survive the reduction: the "+" rows
+    below c are at least as many as the "-" rows below c, and the "-" rows
+    above c + 1 at least as many as the "+" rows above c + 1.
+
+    Every difficult pair passes.  Its highest surviving "+" (row c) sits
+    directly below its lowest surviving "-" (row c + 1), so the test's
+    adjacent "+" and "-" exist.  cancel_word reads rows upwards and each
+    "+" erases the latest pending "-".  The "+" at c survives only if no
+    "-" is pending when it is read, so each "-" below c was erased by a
+    "+" below c.  The "-" at c + 1 survives only if it is never erased; a
+    "+" above it meets a pending "-" pushed after it, so each "+" above
+    c + 1 erased a "-" above c + 1.  The adjacency alone is the bit test
+    left & ~right & (right & ~left) >> 1, so passing this test implies
+    passing that one.
+    """
+    plus, minus = left & ~right, right & ~left
+    adjacent = plus & minus >> 1
+    while adjacent:
+        low = adjacent & -adjacent  # bit c
+        above = low.bit_length() + 1  # rows above c + 1 start at c + 2
+        if ((plus & low - 1).bit_count() >= (minus & low - 1).bit_count()
+                and (minus >> above).bit_count()
+                >= (plus >> above).bit_count()):
+            return True
+        adjacent ^= low
+    return False
 
 
 def _built(cls, **fields):
@@ -247,7 +290,15 @@ def table2_candidates(pairs=None) -> list:
 
 
 def _joint_difficult(triple: RunnerTripleConfig) -> bool:
-    left, middle, right = map(_rows_mask, triple.rows())
+    """Whether both pairs of the triple are difficult and each finds the
+    third runner occupied where its window needs it.  The runners' masks
+    come from the module's table (every component of a chain has weight
+    <= 7), the middle one shifted up gap1 rows and the right one gap1 +
+    gap2, like derive_table1's right runner."""
+    to_middle, to_right = triple.gaps
+    left = _mask(triple.left)
+    middle = _mask(triple.middle, to_middle)
+    right = _mask(triple.right, to_right)
     first = _difficulty_rows(left, middle)
     second = _difficulty_rows(middle, right)
     if first is None or second is None:

@@ -22,8 +22,10 @@ table1_by_row_sets, the Table I loop that read each pair's word off
 bead-row sets (a symmetric difference, sorted) instead of bit masks;
 difficulty_rows_by_erasure, the pair criterion read off every pair's sign
 string with "-+" erased until none is left (no cancel_word, no bit-mask
-word), which derive_table1's bit-test filter must pass whenever it finds a
-difficult pair; table2_candidates_by_pair_scan, Table II's
+word), which derive_table1's window test must pass whenever it finds a
+difficult pair; joint_difficult_by_rows, Table II's joint filter on the
+rows RunnerTripleConfig.rows() gives, where the library reads its table of
+component masks; table2_candidates_by_pair_scan, Table II's
 candidates from every ordered pair of Table I rows;
 signature_by_residue, the signed word of one residue filtered from all
 nodes and sorted, which the library replaced by one walk along the rim;
@@ -815,6 +817,21 @@ def difficulty_rows_by_erasure(left, right):
     if not (minus and plus and minus[0] == plus[-1] + 1):
         return None
     return minus[0], plus[-1]
+
+
+def joint_difficult_by_rows(triple):
+    """Table II's joint filter on the triple's bead rows from
+    RunnerTripleConfig.rows(): both pairs are difficult by
+    difficulty_rows_by_erasure, the right runner holds a bead at the first
+    pair's cogood row and the left runner one at the second pair's good
+    row."""
+    left, middle, right = (sum(1 << r for r in rows)
+                           for rows in triple.rows())
+    first = difficulty_rows_by_erasure(left, middle)
+    second = difficulty_rows_by_erasure(middle, right)
+    if first is None or second is None:
+        return False
+    return bool(right >> first[1] & 1 and left >> second[0] & 1)
 
 
 def table2_candidates_by_pair_scan(pairs):

@@ -1,5 +1,6 @@
 """Tests for block labels, block enumeration, and Rouquier/RoCK cores."""
 
+import re
 import sys
 import time
 from collections import Counter
@@ -134,6 +135,31 @@ def test_is_rouquier_matches_full_bead_scan():
                         == oracles.rouquier_by_full_scan(rho, p, d)), (rho, p, d)
                 cases += 1
     assert cases == 13344
+
+
+def test_is_rouquier_reads_bead_counts_once(monkeypatch):
+    # the core's counts were read twice: by the label's is-a-core check and
+    # again for rouquier_counts
+    cases = (((3, 1, 1), 3, 2), ((), 3, 1), ((1,), 3, 7), ((5, 3, 1, 1), 3, 2))
+    expected = [is_rouquier(*case) for case in cases]
+    assert expected == [True, True, False, True]
+    calls = []
+
+    def counted(la, p):
+        calls.append((la, p))
+        return bead_counts(la, p)
+
+    monkeypatch.setattr(blocks, "bead_counts", counted)
+    assert [is_rouquier(*case) for case in cases] == expected
+    assert calls == [(rho, p) for rho, p, _ in cases]
+    # the label's checks, messages and order are BlockId's
+    for args, message in ((((3,), 3, 2), "(3,) is not a 3-core"),
+                          (((), 3, -1), "weight must be non-negative"),
+                          (((3,), 3, -1), "(3,) is not a 3-core"),
+                          (((1, 2), 3, 1), "parts must be weakly decreasing")):
+        for call in (is_rouquier, lambda rho, p, d: BlockId(rho, d, p)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(*args)
 
 
 def test_is_rouquier_monotone_in_weight():

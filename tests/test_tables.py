@@ -1,5 +1,6 @@
 """Tests for the Table I / Table II derivations and local signatures."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -17,7 +18,9 @@ from selfext.tables import (
     RunnerPairConfig,
     RunnerTripleConfig,
     _difficulty_rows,
+    _joint_difficult,
     _mask_word,
+    _may_be_difficult,
     derive_table1,
     derive_table2,
     local_signature,
@@ -171,21 +174,40 @@ def test_local_signature_gap_dominates():
 
 
 def plus_below_minus(left, right):
-    # derive_table1's filter: a "+" row (left runner only) directly below a
-    # "-" row (right runner only)
+    # the adjacency alone: a "+" row (left runner only) directly below a "-"
+    # row (right runner only)
     return bool(left & ~right & (right & ~left) >> 1)
 
 
 def test_difficulty_rows_matches_the_reduced_word_on_every_small_pair():
-    # the bit test in front of the word refuses no difficult pair
+    # the window test in front of the word refuses no difficult pair
     for left in range(2 ** 8):
         for right in range(2 ** 8):
             want = oracles.difficulty_rows_by_erasure(left, right)
             assert _difficulty_rows(left, right) == want, (left, right)
+            assert want is None or _may_be_difficult(left, right), (left, right)
             assert want is None or plus_below_minus(left, right), (left, right)
 
 
-def test_table1_reduces_only_the_pairs_the_bit_test_passes(monkeypatch):
+def window_by_row_sets(left_rows, right_rows):
+    """(adjacent, window) of a pair's bead-row sets: some row c holds a "+"
+    (left only) below a "-" at c + 1 (right only); and for some such c the
+    "+" rows below c are no fewer than the "-" rows below c, and the "-"
+    rows above c + 1 no fewer than the "+" rows above c + 1."""
+    plus = sorted(set(left_rows) - set(right_rows))
+    minus = sorted(set(right_rows) - set(left_rows))
+    rows = [c for c in plus if c + 1 in minus]
+    return bool(rows), any(
+        sum(t < c for t in plus) >= sum(t < c for t in minus)
+        and sum(t > c + 1 for t in minus) >= sum(t > c + 1 for t in plus)
+        for c in rows)
+
+
+def mask_rows(mask):
+    return [t for t in range(mask.bit_length()) if mask >> t & 1]
+
+
+def test_table1_reduces_only_the_pairs_the_window_test_passes(monkeypatch):
     reached = []
 
     def recording(left, right):
@@ -193,22 +215,23 @@ def test_table1_reduces_only_the_pairs_the_bit_test_passes(monkeypatch):
         return _difficulty_rows(left, right)
 
     monkeypatch.setattr(tables, "_difficulty_rows", recording)
-    derive_table1(7)
-    passed = candidates = 0
+    assert len(derive_table1(7)) == 66
+    counts = Counter()
     for w in range(2, 8):
         for left_size in range(w + 1):
             for left in partitions_of(left_size):
                 for right in partitions_of(w - left_size):
                     for gap in range(1, w):
                         base = w + gap + 2
-                        candidates += 1
-                        passed += plus_below_minus(
-                            sum(1 << t for t in rows_for_component(left, base)),
-                            sum(1 << t for t in rows_for_component(right,
-                                                                   base + gap)))
-    assert (candidates, passed) == (1214, 227)
-    assert len(reached) == passed
-    assert all(plus_below_minus(*pair) for pair in reached)
+                        adjacent, window = window_by_row_sets(
+                            rows_for_component(left, base),
+                            rows_for_component(right, base + gap))
+                        counts.update(candidates=1, adjacent=adjacent,
+                                      window=window)
+    assert counts == {"candidates": 1214, "adjacent": 227, "window": 69}
+    assert len(reached) == 69
+    assert all(window_by_row_sets(*map(mask_rows, pair))[1]
+               for pair in reached)
 
 
 def test_table2_candidates_match_the_pair_scan_in_order():
@@ -240,6 +263,32 @@ def golden_table2_rows():
     return {(parse_partition(r["left"]), parse_partition(r["middle"]),
              parse_partition(r["right"]), r["gaps"][0], r["gaps"][1])
             for r in load_golden("table2.json")}
+
+
+def test_joint_difficult_matches_the_rows_oracle_on_every_chain():
+    # every chain of two Table I rows, with no weight cut, so chains up to
+    # weight 14 are judged as well as the weight <= 7 candidates
+    pairs = derive_table1(7)
+    chains = [RunnerTripleConfig(first.left, first.right, second.right,
+                                 first.gap, second.gap)
+              for first in pairs for second in pairs
+              if second.left == first.right]
+    verdicts = [_joint_difficult(t) for t in chains]
+    assert verdicts == [oracles.joint_difficult_by_rows(t) for t in chains]
+    assert (len(chains), sum(t.weight > 7 for t in chains)) == (12, 4)
+    assert sum(verdicts) == 5
+    # and every triple of components of weight <= 4 with gaps up to 3,
+    # where most pairs are not difficult and 13 triples whose two pairs are
+    # difficult miss a bead on the third runner
+    small = [comp for k in range(5) for comp in partitions_of(k)]
+    found = 0
+    for left, middle, right in itertools.product(small, repeat=3):
+        for gap1, gap2 in itertools.product(range(1, 4), repeat=2):
+            t = RunnerTripleConfig(left, middle, right, gap1, gap2)
+            verdict = _joint_difficult(t)
+            assert verdict == oracles.joint_difficult_by_rows(t), t
+            found += verdict
+    assert found == 9
 
 
 def test_table2_matches_golden_rows():
